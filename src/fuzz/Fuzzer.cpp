@@ -33,37 +33,6 @@ const char *gpuc::failureKindName(OracleFailure::Kind K) {
   return "?";
 }
 
-namespace {
-
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size() + 8);
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += strFormat("\\u%04x", C);
-      else
-        Out += C;
-    }
-  }
-  return Out;
-}
-
-} // namespace
-
 std::string gpuc::failureRecordJson(const FuzzCase &C) {
   const OracleFailure &F = C.Failure;
   std::string S = "{\n";

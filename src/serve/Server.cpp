@@ -468,7 +468,7 @@ std::string Server::statsJson() const {
       "\"disk_quarantined\": %llu, \"disk_hit_rate\": %.6f, "
       "\"max_crit_path_ms\": %.3f, \"latency_ms\": "
       "{\"p50\": %.3f, \"p90\": %.3f, \"p99\": %.3f, \"max\": %.3f}}\n",
-      Opts.SocketPath.c_str(), NumWorkers, Opts.QueueMax,
+      jsonEscape(Opts.SocketPath).c_str(), NumWorkers, Opts.QueueMax,
       (unsigned long long)S.Connections, (unsigned long long)S.Served,
       (unsigned long long)S.ServedSearch,
       (unsigned long long)S.ServedQuick,

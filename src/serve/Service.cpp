@@ -68,9 +68,9 @@ struct JobModes {
         Dialect(J.Dialect == 1 ? PrintDialect::OpenCL
                                : PrintDialect::Cuda) {}
 
-  /// Mirror of gpucc's fastPathEligible(): the warm winner-replay may
-  /// only answer invocations whose output is exactly the cold run's
-  /// plain CUDA text (stored entries are diagnostics-clean).
+  /// The warm winner-replay may only answer invocations whose output is
+  /// exactly the cold run's plain CUDA text (stored entries are
+  /// diagnostics-clean).
   bool fastPathEligible(const CompileJob &J) const {
     return !Report && !Sanitize && !Lint && !PrintNaive && !SearchStats &&
            J.BlockN == 0 && J.ThreadM == 0 && Dialect == PrintDialect::Cuda;
@@ -84,77 +84,11 @@ std::string sanitizeSummaryLine(const SanitizeSummary &S) {
                    S.Unanalyzable);
 }
 
-/// Multi-kernel pipeline path (the input carried a
-/// '#pragma gpuc pipeline(...)' clause). Mirrors gpucc's
-/// runSinglePipeline minus --validate, which never rides the daemon.
-CompileResult runPipelineJob(const CompileJob &J, const ServiceContext &Ctx,
-                             CompileOptions &Opt, const JobModes &Modes,
-                             Module &M, DiagnosticsEngine &Diags,
-                             std::vector<KernelFunction *> &Stages) {
-  CompileResult R;
-  if (J.BlockN > 0 || J.ThreadM > 0 ||
-      Modes.Dialect != PrintDialect::Cuda) {
-    R.Code = 1;
-    R.Err = "gpucc: error: --block/--thread/--opencl are not "
-            "supported for multi-kernel pipelines\n";
-    return R;
-  }
-  std::vector<const KernelFunction *> CStages(Stages.begin(), Stages.end());
-  if (Modes.PrintNaive)
-    R.Out += strFormat("// ---- naive input ----\n%s\n",
-                       printNaiveProgram(CStages).c_str());
-
-  // Warm fast path, program level: replay the stored decision + text.
-  if (Ctx.Disk && Modes.fastPathEligible(J)) {
-    CachedCompile Cached;
-    if (Ctx.Disk->loadText(programCacheKey(CStages, Opt), Cached)) {
-      R.Out += Cached.KernelText;
-      R.WarmFastPath = 1;
-      return R;
-    }
-  }
-
-  SanitizeSummary SanSummary;
-  if (Modes.Sanitize || Modes.Lint) {
-    SanitizeOptions SanOpt;
-    SanOpt.Races = Modes.Sanitize;
-    SanOpt.Lint = Modes.Lint;
-    SanOpt.LintOpts.Strict = Modes.LintStrict;
-    attachStageSanitizer(Opt, Diags, SanOpt, &SanSummary);
-  }
-
-  GpuCompiler GC(M, Diags);
-  ProgramCompileOutput Out = GC.compileProgram(CStages, Opt);
-  R.CritPathMs = Out.Search.CritPathMs;
-  const bool ChosenOk =
-      Out.UseFused
-          ? Out.FusedOut.Best != nullptr
-          : !Out.StageOuts.empty() &&
-                std::all_of(Out.StageOuts.begin(), Out.StageOuts.end(),
-                            [](const CompileOutput &C) { return C.Best; });
-  if (!ChosenOk || Diags.hasErrors()) {
-    R.Code = 1;
-    R.Err += Diags.str() + Diags.summary();
-    return R;
-  }
-  if (Diags.hasWarnings())
-    R.Err += Diags.str() + Diags.summary() + "\n";
-  if (Modes.Sanitize || Modes.Lint)
-    R.Err += sanitizeSummaryLine(SanSummary);
-
-  R.Out += Out.ProgramText;
-
-  if (Modes.Report)
-    R.Err += fusionReport(Out);
-  if (Modes.SearchStats)
-    R.Err += searchStatsReport(Out.Search);
-  return R;
-}
-
 } // namespace
 
 CompileResult gpuc::serve::runCompileJob(const CompileJob &J,
-                                         const ServiceContext &Ctx) {
+                                         const ServiceContext &Ctx,
+                                         CompileKeep *Keep) {
   CompileResult R;
   CompileOptions Opt;
   if (!optionsFromJob(J, Ctx, Opt)) {
@@ -166,31 +100,47 @@ CompileResult gpuc::serve::runCompileJob(const CompileJob &J,
   JobModes Modes(J);
 
   // Per-request isolation: the Module (AST arena) and DiagnosticsEngine
-  // live and die with this job; only the caches are shared.
-  Module M;
+  // live and die with this job (or with the caller's Keep); only the
+  // caches are shared.
+  CompileKeep Own;
+  CompileKeep &K = Keep ? *Keep : Own;
   DiagnosticsEngine Diags;
   if (Modes.Werror)
     Diags.setWarningsAsErrors(true);
   Parser P(J.Source, Diags);
-  std::vector<KernelFunction *> Stages = P.parseProgram(M);
-  if (Stages.empty()) {
+  K.Stages = P.parseProgram(K.M);
+  if (K.Stages.empty()) {
     R.Code = 1;
     R.Err = Diags.str();
     return R;
   }
-  if (Stages.size() > 1)
-    return runPipelineJob(J, Ctx, Opt, Modes, M, Diags, Stages);
-
-  KernelFunction *Naive = Stages.front();
+  // A '#pragma gpuc pipeline(...)' input compiles as a program: fusion
+  // legality, fused and unfused searches, the winner program emitted.
+  const bool Pipeline = K.Stages.size() > 1;
+  std::vector<const KernelFunction *> CStages(K.Stages.begin(),
+                                              K.Stages.end());
+  KernelFunction &Naive = *K.Stages.front();
+  if (Pipeline &&
+      (J.BlockN > 0 || J.ThreadM > 0 || Modes.Dialect != PrintDialect::Cuda)) {
+    R.Code = 1;
+    R.Err = "gpucc: error: --block/--thread/--opencl are not "
+            "supported for multi-kernel pipelines\n";
+    return R;
+  }
   if (Modes.PrintNaive)
-    R.Out += strFormat("// ---- naive input ----\n%s\n",
-                       printKernel(*Naive, Modes.Dialect).c_str());
+    R.Out += "// ---- naive input ----\n" +
+             (Pipeline ? printNaiveProgram(CStages)
+                       : printKernel(Naive, Modes.Dialect)) +
+             "\n";
 
-  // Warm fast path: a clean prior search of this exact (kernel, device,
-  // options) already published its winner; replay it byte-for-byte.
-  if (Ctx.Disk && Modes.fastPathEligible(J)) {
+  // Warm fast path: a clean prior search of this exact (kernel or
+  // program, device, options) already published its winner; replay it
+  // byte-for-byte.
+  if (Ctx.Disk && !Keep && Modes.fastPathEligible(J)) {
     CachedCompile Cached;
-    if (Ctx.Disk->loadText(compileCacheKey(*Naive, Opt), Cached)) {
+    const uint64_t Key = Pipeline ? programCacheKey(CStages, Opt)
+                                  : compileCacheKey(Naive, Opt);
+    if (Ctx.Disk->loadText(Key, Cached)) {
       R.Out += Cached.KernelText;
       R.WarmFastPath = 1;
       return R;
@@ -206,24 +156,39 @@ CompileResult gpuc::serve::runCompileJob(const CompileJob &J,
     attachStageSanitizer(Opt, Diags, SanOpt, &SanSummary);
   }
 
-  GpuCompiler GC(M, Diags);
-  CompileOutput Out;
-  if (J.BlockN > 0 || J.ThreadM > 0) {
-    Out.Best = GC.compileVariant(*Naive, Opt, std::max(1, J.BlockN),
-                                 std::max(1, J.ThreadM), &Out.Plan,
-                                 &Out.Camping);
-    VariantResult VR;
-    VR.Kernel = Out.Best;
-    VR.BlockMergeN = std::max(1, J.BlockN);
-    VR.ThreadMergeM = std::max(1, J.ThreadM);
-    Out.Variants.push_back(VR);
+  GpuCompiler GC(K.M, Diags);
+  if (Pipeline) {
+    K.Program = GC.compileProgram(CStages, Opt);
+    if (K.Program.UseFused)
+      K.Kernels.push_back(K.Program.FusedOut.Best);
+    else
+      for (const CompileOutput &C : K.Program.StageOuts)
+        K.Kernels.push_back(C.Best);
   } else {
-    Out = GC.compile(*Naive, Opt);
+    if (J.BlockN > 0 || J.ThreadM > 0) {
+      VariantResult VR;
+      VR.BlockMergeN = std::max(1, J.BlockN);
+      VR.ThreadMergeM = std::max(1, J.ThreadM);
+      VR.Kernel = GC.compileVariant(Naive, Opt, VR.BlockMergeN,
+                                    VR.ThreadMergeM, &K.Out.Plan,
+                                    &K.Out.Camping);
+      K.Out.Best = VR.Kernel;
+      K.Out.Variants.push_back(VR);
+    } else {
+      K.Out = GC.compile(Naive, Opt);
+    }
+    K.Kernels.push_back(K.Out.Best);
   }
-  R.CritPathMs = Out.Search.CritPathMs;
-  if (!Out.Best || Diags.hasErrors()) {
+  const SearchStats &Search = Pipeline ? K.Program.Search : K.Out.Search;
+  R.CritPathMs = Search.CritPathMs;
+  const bool Emitted =
+      !K.Kernels.empty() &&
+      std::find(K.Kernels.begin(), K.Kernels.end(), nullptr) ==
+          K.Kernels.end();
+  if (!Emitted || Diags.hasErrors()) {
     R.Code = 1;
-    R.Err += Diags.str() + Diags.summary() + Out.Log;
+    // A pipeline's K.Out stays default, so its log is empty.
+    R.Err += Diags.str() + Diags.summary() + K.Out.Log;
     return R;
   }
   if (Diags.hasWarnings())
@@ -231,11 +196,13 @@ CompileResult gpuc::serve::runCompileJob(const CompileJob &J,
   if (Modes.Sanitize || Modes.Lint)
     R.Err += sanitizeSummaryLine(SanSummary);
 
-  R.Out += printKernel(*Out.Best, Modes.Dialect);
+  R.Out += Pipeline ? K.Program.ProgramText
+                    : printKernel(*K.Out.Best, Modes.Dialect);
 
   if (Modes.Report)
-    R.Err += fullReport(*Naive, Out, Opt.Device);
+    R.Err += Pipeline ? fusionReport(K.Program)
+                      : fullReport(Naive, K.Out, Opt.Device);
   if (Modes.SearchStats)
-    R.Err += searchStatsReport(Out);
+    R.Err += searchStatsReport(Search);
   return R;
 }

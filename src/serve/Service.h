@@ -6,15 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Executes one CompileJob exactly the way the gpucc driver would —
-/// parse, warm fast path, sanitize/lint hooks, single-kernel or pipeline
-/// search, report/search-stats rendering — but into strings instead of
-/// stdio. Both consumers run this same code:
+/// Executes one CompileJob — parse, warm fast path, sanitize/lint hooks,
+/// single-kernel or pipeline search, report/search-stats rendering — into
+/// strings instead of stdio. It is the only copy of the compile flow:
 ///
-///   - gpucc in-process (plain runs, batch lanes, and the daemon
-///     fallback path), and
-///   - the gpucd daemon's worker pool, one isolated Module /
-///     DiagnosticsEngine per request over the shared two-tier cache.
+///   - gpucc runs it for every in-process compile (a single file, each
+///     --batch lane, and the --connect fallback), and
+///   - the gpucd daemon's worker pool runs it per request, one isolated
+///     Module / DiagnosticsEngine over the shared two-tier cache.
 ///
 /// That shared implementation is what makes the soak battery's central
 /// assertion possible: a daemon response is byte-identical to a serial
@@ -29,6 +28,7 @@
 #include "serve/Protocol.h"
 
 #include <atomic>
+#include <vector>
 
 namespace gpuc {
 
@@ -59,11 +59,34 @@ bool deviceFromName(const std::string &Name, DeviceSpec &Out);
 bool optionsFromJob(const CompileJob &J, const ServiceContext &Ctx,
                     CompileOptions &Out);
 
+/// What runCompileJob hands an in-process caller for local post-steps
+/// (gpucc's --validate and --time-report): the parsed naive stages, the
+/// emitted kernel(s), and the search output that owns them.
+struct CompileKeep {
+  /// Owns the parsed stages and the kernels compiled in the caller's
+  /// arena.
+  Module M;
+  /// The naive kernels in pipeline order (one for a plain kernel).
+  std::vector<KernelFunction *> Stages;
+  /// The emitted kernels in launch order: the single winner, the fused
+  /// pipeline kernel, or each unfused stage's winner (valid when the
+  /// result's Code is 0).
+  std::vector<const KernelFunction *> Kernels;
+  /// The single-kernel search (or fixed-factor compile); default for
+  /// pipelines.
+  CompileOutput Out;
+  /// The pipeline compile; default for single kernels.
+  ProgramCompileOutput Program;
+};
+
 /// Runs \p J start to finish. Never throws; failures surface as the exit
 /// code + stderr text gpucc would have produced. A cancelled run returns
 /// code 1 with "search cancelled" in Err (the server maps it to a
-/// Timeout error response).
-CompileResult runCompileJob(const CompileJob &J, const ServiceContext &Ctx);
+/// Timeout error response). A non-null \p Keep receives the compiled
+/// kernels; the warm fast path is then skipped, because replayed text
+/// carries no kernel.
+CompileResult runCompileJob(const CompileJob &J, const ServiceContext &Ctx,
+                            CompileKeep *Keep = nullptr);
 
 } // namespace serve
 } // namespace gpuc

@@ -29,6 +29,33 @@ std::string gpuc::strFormat(const char *Fmt, ...) {
   return Out;
 }
 
+std::string gpuc::jsonEscape(const std::string &S) {
+  std::string Out;
+  Out.reserve(S.size() + 8);
+  for (char C : S) {
+    switch (C) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    default:
+      if (static_cast<unsigned char>(C) < 0x20)
+        Out += strFormat("\\u%04x", C);
+      else
+        Out += C;
+    }
+  }
+  return Out;
+}
+
 std::vector<std::string> gpuc::splitString(const std::string &S, char Sep) {
   std::vector<std::string> Parts;
   size_t Start = 0;

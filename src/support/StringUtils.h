@@ -6,7 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// printf-style formatting into std::string plus small string predicates.
+/// printf-style formatting into std::string, JSON string escaping, and
+/// small string predicates.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +32,10 @@ std::string trimString(const std::string &S);
 
 /// \returns true if \p S begins with \p Prefix.
 bool startsWith(const std::string &S, const std::string &Prefix);
+
+/// Escapes \p S for use inside a JSON string literal: quotes,
+/// backslashes and control characters.
+std::string jsonEscape(const std::string &S);
 
 /// The environment variable \p Name, or \p Default when unset or empty.
 std::string envOr(const char *Name, const std::string &Default);

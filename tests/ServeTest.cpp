@@ -19,7 +19,9 @@
 //
 // The end-to-end section (compiled in when GPUCD_BIN/GPUCC_BIN are
 // defined) drives the real binaries: cold+warm client pairs over one
-// daemon, SIGKILL mid-request, and the gpucc --connect fallback.
+// daemon, SIGKILL mid-request, the gpucc --connect fallback, and gpucc's
+// batch, fallback, --time-report and --cache-stats paths agreeing with
+// its single-file run.
 //
 //===----------------------------------------------------------------------===//
 
@@ -880,6 +882,127 @@ TEST(ServeEndToEnd, BatchRidesTheDaemonSharedCache) {
   int Status = 0;
   ASSERT_EQ(::waitpid(D, &Status, 0), D);
   EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 0);
+}
+
+// The gpucc paths share one compile flow (serve::runCompileJob), so a
+// batch lane, a single-file run and a --connect fallback behave alike.
+
+/// Runs gpucc (no disk cache, so $GPUC_CACHE_DIR cannot warm it) with
+/// \p Args, capturing its streams as \p Name.out and \p Name.err under
+/// \p Dir. \returns the exit code.
+int runGpucc(const TempDir &Dir, const std::string &Args,
+             const std::string &Name) {
+  return runShell(std::string(GPUCC_BIN) + " --no-disk-cache " + Args +
+                  " > " + Dir.Path + "/" + Name + ".out 2> " + Dir.Path +
+                  "/" + Name + ".err");
+}
+
+/// The integer after "\p Field=" in \p Text, or -1.
+int fieldValue(const std::string &Text, const std::string &Field) {
+  size_t At = Text.find(Field + "=");
+  return At == std::string::npos
+             ? -1
+             : std::atoi(Text.c_str() + At + Field.size() + 1);
+}
+
+TEST(ServeEndToEnd, BatchLaneSanitizesLikeSingleFile) {
+  TempDir Dir;
+  const std::string Tp = Dir.Path + "/tp.cu", Mv = Dir.Path + "/mv.cu";
+  writeFile(Tp, naiveSource(Algo::TP, 64));
+  writeFile(Mv, naiveSource(Algo::MV, 64));
+  ASSERT_EQ(runGpucc(Dir, "--lint --sanitize " + Mv, "single"), 0);
+  ASSERT_EQ(runGpucc(Dir, "--batch --lint --sanitize " + Tp + " " + Mv,
+                     "batch"),
+            0);
+  const std::string Single = slurp(Dir.Path + "/single.err");
+  EXPECT_NE(Single.find("sanitizer: "), std::string::npos) << Single;
+  // mv.cu is the last input, so its body runs to the end of stderr.
+  const std::string Batch = slurp(Dir.Path + "/batch.err");
+  const std::string Banner = "== " + Mv + " ==\n";
+  const size_t At = Batch.find(Banner);
+  ASSERT_NE(At, std::string::npos) << Batch;
+  EXPECT_EQ(Batch.substr(At + Banner.size()), Single);
+}
+
+TEST(ServeEndToEnd, BatchRefusesOpenclPipelineLikeSingleFile) {
+  TempDir Dir;
+  const std::string P = Dir.Path + "/pipe.cu";
+  writeFile(P, "#pragma gpuc pipeline(mv -> addv)\n"
+               "#pragma gpuc output(y)\n"
+               "#pragma gpuc bind(w=64)\n"
+               "__global__ void mv(float a[64][64], float x[64], "
+               "float y[64], int w) {\n"
+               "  float sum = 0;\n"
+               "  for (int i = 0; i < w; i++) {\n"
+               "    sum += a[idx][i] * x[i];\n"
+               "  }\n"
+               "  y[idx] = sum;\n"
+               "}\n"
+               "#pragma gpuc output(z)\n"
+               "__global__ void addv(float y[64], float b[64], "
+               "float z[64]) {\n"
+               "  z[idx] = y[idx] + b[idx];\n"
+               "}\n");
+  ASSERT_EQ(runGpucc(Dir, "--opencl " + P, "single"), 1);
+  ASSERT_EQ(runGpucc(Dir, "--batch --opencl " + P, "batch"), 1);
+  const std::string Single = slurp(Dir.Path + "/single.err");
+  EXPECT_NE(Single.find("not supported for multi-kernel pipelines"),
+            std::string::npos)
+      << Single;
+  EXPECT_EQ(slurp(Dir.Path + "/batch.err"), "== " + P + " ==\n" + Single);
+  EXPECT_EQ(slurp(Dir.Path + "/batch.out"), "// ==== " + P + " ====\n");
+}
+
+TEST(ServeEndToEnd, ConnectFallbackSearchesOnEveryLane) {
+  TempDir Dir; // no daemon listens on Dir.sock()
+  const std::string Kernel = Dir.Path + "/mm.cu";
+  writeFile(Kernel, naiveSource(Algo::MM, 64));
+  ASSERT_EQ(runGpucc(Dir, "--search-stats " + Kernel, "local"), 0);
+  ASSERT_EQ(runGpucc(Dir,
+                     "--connect=" + Dir.sock() + " --search-stats " + Kernel,
+                     "fallback"),
+            0);
+  const std::string Local = slurp(Dir.Path + "/local.err");
+  const std::string Fallback = slurp(Dir.Path + "/fallback.err");
+  EXPECT_NE(Fallback.find("compiling in-process"), std::string::npos);
+  EXPECT_GE(fieldValue(Local, "jobs"), 1) << Local;
+  EXPECT_EQ(fieldValue(Fallback, "jobs"), fieldValue(Local, "jobs"))
+      << Fallback;
+}
+
+TEST(ServeEndToEnd, TimeReportRowPerLayoutPoint) {
+  TempDir Dir;
+  const std::string Kernel = Dir.Path + "/mm.cu";
+  writeFile(Kernel, naiveSource(Algo::MM, 128));
+  ASSERT_EQ(runGpucc(Dir, "--time-report --search-stats " + Kernel, "t"), 0);
+  const std::string Err = slurp(Dir.Path + "/t.err");
+  // The layout family must have been searched for rows to collide.
+  ASSERT_NE(Err.find("affine layout: "), std::string::npos) << Err;
+  const int Candidates = fieldValue(Err, "candidates");
+  ASSERT_GT(Candidates, 0) << Err;
+  const std::string Title = "=== design-space variants (per-lane time) ===\n";
+  size_t At = Err.find(Title);
+  ASSERT_NE(At, std::string::npos) << Err;
+  std::istringstream Table(Err.substr(At + Title.size()));
+  int Rows = 0;
+  for (std::string Line;
+       std::getline(Table, Line) && Line.find(" total") == std::string::npos;)
+    ++Rows;
+  EXPECT_EQ(Rows, 2 * Candidates) << Err;
+}
+
+TEST(ServeEndToEnd, CacheStatsJsonEscapesTheDirectory) {
+  TempDir Dir;
+  const std::string Kernel = Dir.Path + "/mv.cu";
+  writeFile(Kernel, naiveSource(Algo::MV, 64));
+  ASSERT_EQ(runShell(std::string(GPUCC_BIN) + " '--cache-dir=" + Dir.Path +
+                     "/q\"dir' --cache-stats=" + Dir.Path + "/s.json " +
+                     Kernel + " > /dev/null 2>&1"),
+            0);
+  const std::string Json = slurp(Dir.Path + "/s.json");
+  EXPECT_NE(Json.find("{\"dir\": \"" + Dir.Path + "/q\\\"dir\", "),
+            std::string::npos)
+      << Json;
 }
 
 #endif // GPUCD_BIN && GPUCC_BIN

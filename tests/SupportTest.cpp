@@ -46,6 +46,19 @@ TEST(StartsWith, Basics) {
   EXPECT_TRUE(startsWith("abc", ""));
 }
 
+TEST(JsonEscape, Quote) {
+  EXPECT_EQ(jsonEscape("q\"dir"), "q\\\"dir");
+}
+
+TEST(JsonEscape, Backslash) {
+  EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
+}
+
+TEST(JsonEscape, ControlCharacters) {
+  EXPECT_EQ(jsonEscape("a\nb\tc\x01"), "a\\nb\\tc\\u0001");
+  EXPECT_EQ(jsonEscape("plain /path"), "plain /path");
+}
+
 TEST(CountCodeLines, SkipsBracesCommentsAndPragmas) {
   std::string Src = "#pragma gpuc output(c)\n"
                     "__global__ void f() {\n"

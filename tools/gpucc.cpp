@@ -20,28 +20,30 @@
 // simulations and search winners persist across processes; a warm
 // invocation emits byte-identical output to a cold one.
 //
+// gpucc itself only parses arguments, reads files, picks the daemon or
+// this process, and prints in order: every input becomes one
+// serve::CompileJob, compiled by serve::runCompileJob here or by the same
+// code in gpucd.
+//
 //===----------------------------------------------------------------------===//
 
-#include "analysis/Sanitizer.h"
-#include "ast/Printer.h"
 #include "cache/DiskCache.h"
-#include "core/Coalescing.h"
-#include "core/Report.h"
-#include "core/Compiler.h"
 #include "exec/ThreadPool.h"
-#include "parser/Parser.h"
 #include "serve/Client.h"
 #include "serve/Service.h"
+#include "sim/SimCache.h"
+#include "sim/Simulator.h"
 #include "support/StringUtils.h"
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <mutex>
 #include <sstream>
 
@@ -135,24 +137,11 @@ bool readInputFile(const std::string &Path, std::string &Out) {
   return true;
 }
 
-void fillRandomInputs(const KernelFunction &K, BufferSet &B) {
-  unsigned State = 99;
-  for (const ParamDecl &P : K.params()) {
-    if (!P.IsArray)
-      continue;
-    auto &V = B.alloc(P.Name, static_cast<size_t>(P.elemCount()) *
-                                  P.ElemTy.vectorWidth());
-    for (float &X : V) {
-      State = State * 1664525u + 1013904223u;
-      X = static_cast<float>(State >> 20) / 4096.0f - 0.5f;
-    }
-  }
-}
-
-/// Pipeline variant of fillRandomInputs: arrays are bound by name across
-/// stages, so each unique name is allocated and filled once (first
-/// occurrence wins; later stages then see the producer's values, or the
-/// initial fill for true inputs).
+/// Fills the array parameters of \p Stages with one fixed pseudo-random
+/// sequence. Arrays are bound by name across pipeline stages, so each
+/// unique name is allocated and filled once (first occurrence wins; later
+/// stages then see the producer's values, or the initial fill for true
+/// inputs).
 void fillPipelineInputs(const std::vector<KernelFunction *> &Stages,
                         BufferSet &B) {
   unsigned State = 99;
@@ -170,27 +159,20 @@ void fillPipelineInputs(const std::vector<KernelFunction *> &Stages,
   }
 }
 
-void printReport(KernelFunction &Naive, const CompileOutput &Out,
-                 const DeviceSpec &Dev) {
-  std::fprintf(stderr, "%s", fullReport(Naive, Out, Dev).c_str());
-}
-
-/// Everything main() parses from argv.
+/// Everything main() parses from argv. Job is the compile itself — the
+/// same CompileJob goes to the daemon or to serve::runCompileJob; the
+/// other fields steer this process.
 struct DriverOptions {
-  CompileOptions Opt;
+  serve::CompileJob Job;
+  /// --jobs: search lanes, or for --batch the concurrent files (0 =
+  /// hardware concurrency).
+  int Jobs = 0;
   std::vector<std::string> Inputs;
-  int BlockN = 0, ThreadM = 0;
-  bool Report = false, Validate = false, PrintNaive = false;
-  bool Sanitize = false, Lint = false, LintStrict = false, Werror = false;
-  bool SearchStats = false, TimeReportFlag = false;
-  bool Batch = false;
+  bool Validate = false, TimeReport = false, Batch = false;
   bool NoDiskCache = false;
   bool CacheStatsFlag = false;
   std::string CacheStatsFile;
   std::string CacheDir;
-  PrintDialect Dialect = PrintDialect::Cuda;
-  /// Wire name of --device (the daemon resolves it to a DeviceSpec).
-  std::string DeviceName = "gtx280";
 
   /// Thin-client mode: Optional (--connect) falls back to in-process
   /// compilation when the daemon is unreachable, busy or shutting down;
@@ -198,30 +180,76 @@ struct DriverOptions {
   enum class DaemonUse { Off, Optional, Required };
   DaemonUse Daemon = DaemonUse::Off;
   std::string DaemonSocket;
-  unsigned DaemonTimeoutMs = 0;
 
-  /// The warm fast path replays a stored search winner verbatim. It is
-  /// only taken when this invocation would print exactly what the cold
-  /// run printed: plain CUDA text, no reports, no fixed factors, and no
-  /// analysis side channels (stored entries are diagnostics-clean).
-  bool fastPathEligible() const {
-    return !Report && !Validate && !Sanitize && !Lint && !PrintNaive &&
-           !SearchStats && !TimeReportFlag && BlockN == 0 && ThreadM == 0 &&
-           Dialect == PrintDialect::Cuda;
+  DriverOptions() { Job.Flags = serve::jobDefaultFlags(); }
+  bool has(uint32_t Flag) const { return (Job.Flags & Flag) != 0; }
+};
+
+/// Options that set (On) or clear bits of the job's flag word.
+struct FlagOption {
+  const char *Arg;
+  uint32_t Bits;
+  bool On;
+};
+constexpr FlagOption FlagOptions[] = {
+    {"--no-vectorize", serve::JF_Vectorize, false},
+    {"--no-coalesce", serve::JF_Coalesce, false},
+    {"--no-merge", serve::JF_Merge, false},
+    {"--no-prefetch", serve::JF_Prefetch, false},
+    {"--no-partition", serve::JF_PartitionElim, false},
+    {"--no-layout-search", serve::JF_LayoutSearch, false},
+    {"--no-fold", serve::JF_Fold, false},
+    {"--no-prune", serve::JF_Exhaustive, true},
+    {"--report", serve::JF_Report, true},
+    {"--print-naive", serve::JF_PrintNaive, true},
+    {"--sanitize", serve::JF_Sanitize, true},
+    {"--lint", serve::JF_Lint, true},
+    {"--lint=strict", serve::JF_Lint | serve::JF_LintStrict, true},
+    {"--Werror", serve::JF_Werror, true},
+    {"--search-stats", serve::JF_SearchStats, true},
+};
+
+/// The in-process cache tiers, opened at most once per process. Client
+/// mode opens them lazily, only when some request actually falls back —
+/// a client whose every request the daemon serves never opens the disk
+/// cache at all (the one-open-per-daemon regression test pins this).
+struct LocalTiers {
+  std::once_flag Once;
+  std::unique_ptr<DiskCache> Disk;
+  SimCache Mem;
+
+  void ensure(const DriverOptions &D) {
+    std::call_once(Once, [&] {
+      // Explicit flag first, then the environment.
+      std::string Dir = D.NoDiskCache     ? ""
+                        : D.CacheDir.empty() ? envOr("GPUC_CACHE_DIR", "")
+                                             : D.CacheDir;
+      if (!Dir.empty()) {
+        Disk = std::make_unique<DiskCache>(Dir);
+        if (!Disk->valid()) {
+          std::fprintf(stderr,
+                       "gpucc: warning: cannot use cache directory '%s'; "
+                       "continuing without a disk cache\n",
+                       Dir.c_str());
+          Disk.reset();
+        }
+      }
+      Mem.setBackend(Disk.get());
+    });
   }
 };
 
 /// Emits --cache-stats output: a human line on stderr and optional JSON.
-void emitCacheStats(const DriverOptions &D, const DiskCache *Disk,
-                    const SimCache &Mem) {
+void emitCacheStats(const DriverOptions &D, const LocalTiers &Local) {
   if (!D.CacheStatsFlag && D.CacheStatsFile.empty())
     return;
   DiskCacheStats S;
   std::string Dir = "(disabled)";
-  if (Disk) {
-    S = Disk->stats();
-    Dir = Disk->directory();
+  if (Local.Disk) {
+    S = Local.Disk->stats();
+    Dir = Local.Disk->directory();
   }
+  const SimCache &Mem = Local.Mem;
   if (D.CacheStatsFlag)
     std::fprintf(stderr,
                  "disk cache %s: %llu sim hits, %llu sim misses, %llu text "
@@ -246,662 +274,198 @@ void emitCacheStats(const DriverOptions &D, const DiskCache *Disk,
       "\"writes\": %llu, \"write_errors\": %llu, \"corrupt\": %llu, "
       "\"quarantined\": %llu, \"hit_rate\": %.6f, \"mem_hits\": %llu, "
       "\"mem_misses\": %llu}\n",
-      Dir.c_str(), DiskCache::SchemaVersion, (unsigned long long)S.SimHits,
-      (unsigned long long)S.SimMisses, (unsigned long long)S.TextHits,
-      (unsigned long long)S.TextMisses, (unsigned long long)S.Writes,
-      (unsigned long long)S.WriteErrors, (unsigned long long)S.Corrupt,
-      (unsigned long long)S.Quarantined, S.hitRate(),
-      (unsigned long long)Mem.hits(), (unsigned long long)Mem.misses());
+      jsonEscape(Dir).c_str(), DiskCache::SchemaVersion,
+      (unsigned long long)S.SimHits, (unsigned long long)S.SimMisses,
+      (unsigned long long)S.TextHits, (unsigned long long)S.TextMisses,
+      (unsigned long long)S.Writes, (unsigned long long)S.WriteErrors,
+      (unsigned long long)S.Corrupt, (unsigned long long)S.Quarantined,
+      S.hitRate(), (unsigned long long)Mem.hits(),
+      (unsigned long long)Mem.misses());
 }
 
-/// Multi-kernel pipeline compilation (the input carried a
-/// '#pragma gpuc pipeline(...)' clause): the fusion legality analysis
-/// runs, fused and unfused sides are searched, and the winner program is
-/// emitted. --validate compares the chosen compiled program against the
-/// unfused naive chain, the differential oracle.
-int runSinglePipeline(DriverOptions &D, DiskCache *Disk, SimCache &Mem,
-                      Module &M, DiagnosticsEngine &Diags,
-                      std::vector<KernelFunction *> &Stages) {
-  CompileOptions &Opt = D.Opt;
-  if (D.BlockN > 0 || D.ThreadM > 0 || D.Dialect != PrintDialect::Cuda) {
-    std::fprintf(stderr,
-                 "gpucc: error: --block/--thread/--opencl are not "
-                 "supported for multi-kernel pipelines\n");
+/// --validate: runs the naive stages and the emitted kernels on the
+/// simulator over identical seeded inputs and compares the last stage's
+/// output arrays (a pipeline's intermediates are scratch: a fused program
+/// never writes them). Under --sanitize both runs are also race-checked.
+/// Appends its findings to \p Err. \returns the exit code: 0 clean, 1 for
+/// a failed run or a race, 2 for mismatches.
+int validate(const DriverOptions &D, const serve::CompileKeep &K,
+             std::string &Err) {
+  DeviceSpec Dev;
+  serve::deviceFromName(D.Job.DeviceName, Dev);
+  Simulator Sim(Dev);
+  Sim.setInterpBackend(D.Job.Interp == 1 ? InterpBackend::Scalar
+                                         : InterpBackend::Vector);
+  const bool CheckRaces = D.has(serve::JF_Sanitize);
+  const std::vector<const KernelFunction *> Naive(K.Stages.begin(),
+                                                  K.Stages.end());
+  BufferSet RefBufs, OptBufs;
+  fillPipelineInputs(K.Stages, RefBufs);
+  fillPipelineInputs(K.Stages, OptBufs);
+  DiagnosticsEngine RunDiags;
+  RaceLog RefRaces, OptRaces;
+  if (!Sim.runPipelineFunctional(Naive, RefBufs, RunDiags,
+                                 CheckRaces ? &RefRaces : nullptr) ||
+      !Sim.runPipelineFunctional(K.Kernels, OptBufs, RunDiags,
+                                 CheckRaces ? &OptRaces : nullptr)) {
+    Err += "validation run failed:\n" + RunDiags.str();
     return 1;
   }
-  std::vector<const KernelFunction *> CStages(Stages.begin(), Stages.end());
-  if (D.PrintNaive)
-    std::printf("// ---- naive input ----\n%s\n",
-                printNaiveProgram(CStages).c_str());
-
-  // Warm fast path, program level: replay the stored decision + text.
-  if (Disk && D.fastPathEligible()) {
-    CachedCompile Cached;
-    if (Disk->loadText(programCacheKey(CStages, Opt), Cached)) {
-      std::printf("%s", Cached.KernelText.c_str());
-      return 0;
-    }
-  }
-
-  SanitizeSummary SanSummary;
-  if (D.Sanitize || D.Lint) {
-    SanitizeOptions SanOpt;
-    SanOpt.Races = D.Sanitize;
-    SanOpt.Lint = D.Lint;
-    SanOpt.LintOpts.Strict = D.LintStrict;
-    attachStageSanitizer(Opt, Diags, SanOpt, &SanSummary);
-  }
-  Opt.Cache = &Mem;
-  Opt.Disk = Disk;
-
-  GpuCompiler GC(M, Diags);
-  ProgramCompileOutput Out = GC.compileProgram(CStages, Opt);
-  const bool ChosenOk =
-      Out.UseFused
-          ? Out.FusedOut.Best != nullptr
-          : !Out.StageOuts.empty() &&
-                std::all_of(Out.StageOuts.begin(), Out.StageOuts.end(),
-                            [](const CompileOutput &C) { return C.Best; });
-  if (!ChosenOk || Diags.hasErrors()) {
-    std::fprintf(stderr, "%s%s", Diags.str().c_str(),
-                 Diags.summary().c_str());
-    return 1;
-  }
-  if (Diags.hasWarnings())
-    std::fprintf(stderr, "%s%s\n", Diags.str().c_str(),
-                 Diags.summary().c_str());
-  if (D.Sanitize || D.Lint)
-    std::fprintf(stderr,
-                 "sanitizer: %d kernels checked, %d races, %d lint "
-                 "warnings, %d not statically analyzable\n",
-                 SanSummary.KernelsChecked, SanSummary.RaceErrors,
-                 SanSummary.LintWarnings, SanSummary.Unanalyzable);
-
-  std::printf("%s", Out.ProgramText.c_str());
-
-  if (D.Report)
-    std::fprintf(stderr, "%s", fusionReport(Out).c_str());
-  if (D.SearchStats)
-    std::fprintf(stderr, "%s", searchStatsReport(Out.Search).c_str());
-
-  if (D.Validate) {
-    Simulator Sim(Opt.Device);
-    Sim.setInterpBackend(Opt.Interp);
-    BufferSet RefBufs, OptBufs;
-    fillPipelineInputs(Stages, RefBufs);
-    fillPipelineInputs(Stages, OptBufs);
-    DiagnosticsEngine RunDiags;
-    RaceLog RefRaces, OptRaces;
-    bool RefOk = Sim.runPipelineFunctional(CStages, RefBufs, RunDiags,
-                                           D.Sanitize ? &RefRaces : nullptr);
-    bool OptOk = true;
-    if (Out.UseFused) {
-      OptOk = Sim.runFunctional(*Out.FusedOut.Best, OptBufs, RunDiags,
-                                D.Sanitize ? &OptRaces : nullptr);
-    } else {
-      for (const CompileOutput &C : Out.StageOuts)
-        OptOk = OptOk &&
-                Sim.runFunctional(*C.Best, OptBufs, RunDiags,
-                                  D.Sanitize ? &OptRaces : nullptr);
-    }
-    if (!RefOk || !OptOk) {
-      std::fprintf(stderr, "validation run failed:\n%s",
-                   RunDiags.str().c_str());
-      return 1;
-    }
-    if (D.Sanitize) {
-      for (const RaceLog *Log : {&RefRaces, &OptRaces})
-        for (const RaceRecord &R : Log->Races)
-          std::fprintf(stderr,
-                       "dynamic race: %s on '%s' word %lld, phase %d, "
+  for (const RaceLog *Log : {&RefRaces, &OptRaces})
+    for (const RaceRecord &R : Log->Races)
+      Err += strFormat("dynamic race: %s on '%s' word %lld, phase %d, "
                        "block %lld, threads %lld and %lld\n",
                        R.WriteWrite ? "write-write" : "write-read",
                        R.Array.c_str(), R.Word, R.Phase, R.Block, R.T1,
                        R.T2);
-      if (!RefRaces.clean() || !OptRaces.clean())
-        return 1;
+  if (!RefRaces.clean() || !OptRaces.clean())
+    return 1;
+  long long Bad = 0;
+  for (const ParamDecl &Param : K.Stages.back()->params()) {
+    if (!Param.IsArray || !Param.IsOutput)
+      continue;
+    const auto &A = RefBufs.data(Param.Name);
+    const auto &B = OptBufs.data(Param.Name);
+    for (size_t I = 0; I < A.size(); ++I) {
+      double Denom = std::max(1.0, static_cast<double>(std::fabs(A[I])));
+      if (std::fabs(A[I] - B[I]) / Denom > 1e-3)
+        ++Bad;
     }
-    // A pipeline's observable outputs are the final stage's output
-    // arrays; intermediates are scratch (a fused program never writes
-    // them).
-    long long Bad = 0;
-    for (const ParamDecl &Param : Stages.back()->params()) {
-      if (!Param.IsArray || !Param.IsOutput)
-        continue;
-      const auto &A = RefBufs.data(Param.Name);
-      const auto &B = OptBufs.data(Param.Name);
-      for (size_t I = 0; I < A.size(); ++I) {
-        double Denom = std::max(1.0, static_cast<double>(std::fabs(A[I])));
-        if (std::fabs(A[I] - B[I]) / Denom > 1e-3)
-          ++Bad;
-      }
-    }
-    std::fprintf(stderr, "validation: %lld mismatches\n", Bad);
-    return Bad == 0 ? 0 : 2;
   }
-  return 0;
+  Err += strFormat("validation: %lld mismatches\n", Bad);
+  return Bad == 0 ? 0 : 2;
 }
 
-/// One-file compilation, the original interactive flow.
-int runSingle(DriverOptions &D, DiskCache *Disk, SimCache &Mem) {
-  const std::string &Path = D.Inputs.front();
-  CompileOptions &Opt = D.Opt;
-
-  TimeReport Times("gpucc --time-report");
-  auto EmitTimes = [&] {
-    if (D.TimeReportFlag)
-      std::fprintf(stderr, "%s", Times.str().c_str());
-  };
-
-  std::string Source;
-  if (!readInputFile(Path, Source)) {
-    std::fprintf(stderr, "gpucc: error: cannot open '%s'\n", Path.c_str());
-    return 1;
+/// --time-report's per-variant table. Per-task times sum over lanes, so
+/// they are not a partition of the compile wall-clock. Rows are keyed like
+/// the search log: once the search enumerated more than one layout point,
+/// the point's name joins the key so the points never merge.
+std::string variantTimes(const CompileOutput &Out) {
+  if (Out.Variants.size() <= 1)
+    return "";
+  TimeReport Times("design-space variants (per-lane time)");
+  for (const VariantResult &V : Out.Variants) {
+    std::string Tag = strFormat("b%d t%d", V.BlockMergeN, V.ThreadMergeM);
+    if (Out.Search.LayoutPoints > 1)
+      Tag = std::string(V.Layout) + " " + Tag;
+    Times.add(Tag + " compile", V.CompileWallMs);
+    Times.add(Tag + " simulate", V.SimWallMs);
   }
-
-  Module M;
-  DiagnosticsEngine Diags;
-  if (D.Werror)
-    Diags.setWarningsAsErrors(true);
-  WallTimer ParseTimer;
-  Parser P(Source, Diags);
-  std::vector<KernelFunction *> Stages = P.parseProgram(M);
-  Times.add("parse", ParseTimer.elapsedMs());
-  if (Stages.empty()) {
-    std::fprintf(stderr, "%s", Diags.str().c_str());
-    return 1;
-  }
-  if (Stages.size() > 1)
-    return runSinglePipeline(D, Disk, Mem, M, Diags, Stages);
-  KernelFunction *Naive = Stages.front();
-  if (D.PrintNaive)
-    std::printf("// ---- naive input ----\n%s\n",
-                printKernel(*Naive, D.Dialect).c_str());
-
-  // Warm fast path: a clean prior search of this exact (kernel, device,
-  // options) already published its winner; replay it byte-for-byte.
-  if (Disk && D.fastPathEligible()) {
-    CachedCompile Cached;
-    if (Disk->loadText(compileCacheKey(*Naive, Opt), Cached)) {
-      std::printf("%s", Cached.KernelText.c_str());
-      return 0;
-    }
-  }
-
-  SanitizeSummary SanSummary;
-  if (D.Sanitize || D.Lint) {
-    SanitizeOptions SanOpt;
-    SanOpt.Races = D.Sanitize;
-    SanOpt.Lint = D.Lint;
-    SanOpt.LintOpts.Strict = D.LintStrict;
-    attachStageSanitizer(Opt, Diags, SanOpt, &SanSummary);
-  }
-
-  Opt.Cache = &Mem;
-  Opt.Disk = Disk;
-
-  GpuCompiler GC(M, Diags);
-  CompileOutput Out;
-  WallTimer CompileTimer;
-  if (D.BlockN > 0 || D.ThreadM > 0) {
-    Out.Best = GC.compileVariant(*Naive, Opt, std::max(1, D.BlockN),
-                                 std::max(1, D.ThreadM), &Out.Plan,
-                                 &Out.Camping);
-    VariantResult VR;
-    VR.Kernel = Out.Best;
-    VR.BlockMergeN = std::max(1, D.BlockN);
-    VR.ThreadMergeM = std::max(1, D.ThreadM);
-    Out.Variants.push_back(VR);
-  } else {
-    Out = GC.compile(*Naive, Opt);
-  }
-  Times.add("compile + search", CompileTimer.elapsedMs());
-  if (D.TimeReportFlag && Out.Variants.size() > 1) {
-    // Per-variant detail in its own table: per-task times sum over lanes,
-    // so they are not a partition of the driver wall-clock above.
-    TimeReport VariantTimes("design-space variants (per-lane time)");
-    for (const VariantResult &V : Out.Variants) {
-      std::string Tag =
-          strFormat("b%d t%d", V.BlockMergeN, V.ThreadMergeM);
-      VariantTimes.add(Tag + " compile", V.CompileWallMs);
-      VariantTimes.add(Tag + " simulate", V.SimWallMs);
-    }
-    std::fprintf(stderr, "%s", VariantTimes.str().c_str());
-  }
-  if (!Out.Best || Diags.hasErrors()) {
-    std::fprintf(stderr, "%s%s%s", Diags.str().c_str(),
-                 Diags.summary().c_str(), Out.Log.c_str());
-    return 1;
-  }
-  if (Diags.hasWarnings())
-    std::fprintf(stderr, "%s%s\n", Diags.str().c_str(),
-                 Diags.summary().c_str());
-  if (D.Sanitize || D.Lint)
-    std::fprintf(stderr,
-                 "sanitizer: %d kernels checked, %d races, %d lint "
-                 "warnings, %d not statically analyzable\n",
-                 SanSummary.KernelsChecked, SanSummary.RaceErrors,
-                 SanSummary.LintWarnings, SanSummary.Unanalyzable);
-
-  WallTimer EmitTimer;
-  std::printf("%s", printKernel(*Out.Best, D.Dialect).c_str());
-  Times.add("emit", EmitTimer.elapsedMs());
-
-  if (D.Report)
-    printReport(*Naive, Out, Opt.Device);
-  if (D.SearchStats)
-    std::fprintf(stderr, "%s", searchStatsReport(Out).c_str());
-
-  if (D.Validate) {
-    WallTimer ValidateTimer;
-    Simulator Sim(Opt.Device);
-    Sim.setInterpBackend(Opt.Interp);
-    BufferSet NaiveBufs, OptBufs;
-    fillRandomInputs(*Naive, NaiveBufs);
-    fillRandomInputs(*Naive, OptBufs);
-    DiagnosticsEngine RunDiags;
-    RaceLog NaiveRaces, OptRaces;
-    if (!Sim.runFunctional(*Naive, NaiveBufs, RunDiags,
-                           D.Sanitize ? &NaiveRaces : nullptr) ||
-        !Sim.runFunctional(*Out.Best, OptBufs, RunDiags,
-                           D.Sanitize ? &OptRaces : nullptr)) {
-      std::fprintf(stderr, "validation run failed:\n%s",
-                   RunDiags.str().c_str());
-      return 1;
-    }
-    if (D.Sanitize) {
-      for (const RaceLog *Log : {&NaiveRaces, &OptRaces})
-        for (const RaceRecord &R : Log->Races)
-          std::fprintf(stderr,
-                       "dynamic race: %s on '%s' word %lld, phase %d, "
-                       "block %lld, threads %lld and %lld\n",
-                       R.WriteWrite ? "write-write" : "write-read",
-                       R.Array.c_str(), R.Word, R.Phase, R.Block, R.T1,
-                       R.T2);
-      if (!NaiveRaces.clean() || !OptRaces.clean())
-        return 1;
-    }
-    long long Bad = 0;
-    for (const ParamDecl &Param : Naive->params()) {
-      if (!Param.IsArray || !Param.IsOutput)
-        continue;
-      const auto &A = NaiveBufs.data(Param.Name);
-      const auto &B = OptBufs.data(Param.Name);
-      for (size_t I = 0; I < A.size(); ++I) {
-        double Denom = std::max(1.0, static_cast<double>(std::fabs(A[I])));
-        if (std::fabs(A[I] - B[I]) / Denom > 1e-3)
-          ++Bad;
-      }
-    }
-    std::fprintf(stderr, "validation: %lld mismatches\n", Bad);
-    Times.add("validate", ValidateTimer.elapsedMs());
-    EmitTimes();
-    return Bad == 0 ? 0 : 2;
-  }
-  EmitTimes();
-  return 0;
+  return Times.str();
 }
 
-/// Batch mode: compile every input over the thread pool, sharing one
-/// memory cache and one disk cache, then print kernels (stdout) and
-/// diagnostics (stderr) strictly in input order — the streams are
-/// byte-identical for any lane count and any cache temperature.
-int runBatch(DriverOptions &D, DiskCache *Disk, SimCache &Mem) {
-  struct FileResult {
-    std::string Text;
-    std::string Err;
-    int Code = 0;
-  };
-  std::vector<FileResult> Results(D.Inputs.size());
-
-  unsigned OuterJobs = D.Opt.Jobs <= 0
-                           ? ThreadPool::defaultConcurrency()
-                           : static_cast<unsigned>(D.Opt.Jobs);
-  // One lane per file; the per-file search runs serially (nested
-  // parallelism would oversubscribe, and results are identical anyway).
-  CompileOptions Inner = D.Opt;
-  Inner.Jobs = 1;
-  Inner.Cache = &Mem;
-  Inner.Disk = Disk;
-
-  ThreadPool Pool(OuterJobs);
-  Pool.parallelFor(D.Inputs.size(), [&](size_t I) {
-    FileResult &FR = Results[I];
-    std::string Source;
-    if (!readInputFile(D.Inputs[I], Source)) {
-      FR.Code = 1;
-      FR.Err = "error: cannot open file\n";
-      return;
-    }
-    Module M;
-    DiagnosticsEngine Diags;
-    if (D.Werror)
-      Diags.setWarningsAsErrors(true);
-    Parser P(Source, Diags);
-    std::vector<KernelFunction *> Stages = P.parseProgram(M);
-    if (Stages.empty()) {
-      FR.Code = 1;
-      FR.Err = Diags.str();
-      return;
-    }
-    if (Stages.size() > 1) {
-      // Pipeline input: program-level fast path, then compileProgram.
-      std::vector<const KernelFunction *> CStages(Stages.begin(),
-                                                  Stages.end());
-      if (Disk && D.fastPathEligible()) {
-        CachedCompile Cached;
-        if (Disk->loadText(programCacheKey(CStages, Inner), Cached)) {
-          FR.Text = Cached.KernelText;
-          return;
-        }
-      }
-      GpuCompiler GC(M, Diags);
-      ProgramCompileOutput Out = GC.compileProgram(CStages, Inner);
-      const bool ChosenOk =
-          Out.UseFused
-              ? Out.FusedOut.Best != nullptr
-              : !Out.StageOuts.empty() &&
-                    std::all_of(
-                        Out.StageOuts.begin(), Out.StageOuts.end(),
-                        [](const CompileOutput &C) { return C.Best; });
-      if (!ChosenOk || Diags.hasErrors()) {
-        FR.Code = 1;
-        FR.Err = Diags.str() + Diags.summary();
-        return;
-      }
-      if (Diags.hasWarnings())
-        FR.Err = Diags.str() + Diags.summary() + "\n";
-      FR.Text = Out.ProgramText;
-      if (D.SearchStats)
-        FR.Err += searchStatsReport(Out.Search);
-      return;
-    }
-    KernelFunction *Naive = Stages.front();
-    if (Disk && D.fastPathEligible()) {
-      CachedCompile Cached;
-      if (Disk->loadText(compileCacheKey(*Naive, Inner), Cached)) {
-        FR.Text = Cached.KernelText;
-        return;
-      }
-    }
-    GpuCompiler GC(M, Diags);
-    CompileOutput Out = GC.compile(*Naive, Inner);
-    if (!Out.Best || Diags.hasErrors()) {
-      FR.Code = 1;
-      FR.Err = Diags.str() + Diags.summary() + Out.Log;
-      return;
-    }
-    if (Diags.hasWarnings())
-      FR.Err = Diags.str() + Diags.summary() + "\n";
-    FR.Text = printKernel(*Out.Best, D.Dialect);
-    if (D.SearchStats)
-      FR.Err += searchStatsReport(Out);
-  });
-
-  int Code = 0;
-  for (size_t I = 0; I < D.Inputs.size(); ++I) {
-    const FileResult &FR = Results[I];
-    std::printf("// ==== %s ====\n%s", D.Inputs[I].c_str(),
-                FR.Text.c_str());
-    if (!FR.Err.empty())
-      std::fprintf(stderr, "== %s ==\n%s", D.Inputs[I].c_str(),
-                   FR.Err.c_str());
-    if (FR.Code != 0)
-      Code = 1;
-  }
-  return Code;
-}
-
-/// Translates the parsed driver state into a wire CompileJob. The flag
-/// word mirrors CompileOptions bit for bit — serve::optionsFromJob is the
-/// inverse — so a daemon compile and an in-process fallback of the same
-/// invocation are the same computation.
-serve::CompileJob jobFromDriver(const DriverOptions &D,
-                                const std::string &Name,
-                                std::string Source) {
-  serve::CompileJob J;
-  J.Name = Name;
-  J.Source = std::move(Source);
-  J.DeviceName = D.DeviceName;
-  uint32_t F = 0;
-  auto Set = [&F](bool On, uint32_t Bit) {
-    if (On)
-      F |= Bit;
-  };
-  Set(D.Opt.Vectorize, serve::JF_Vectorize);
-  Set(D.Opt.Coalesce, serve::JF_Coalesce);
-  Set(D.Opt.Merge, serve::JF_Merge);
-  Set(D.Opt.Prefetch, serve::JF_Prefetch);
-  Set(D.Opt.PartitionElim, serve::JF_PartitionElim);
-  Set(D.Opt.LayoutSearch, serve::JF_LayoutSearch);
-  Set(D.Opt.Fold, serve::JF_Fold);
-  Set(D.Opt.StaticPrune, serve::JF_StaticPrune);
-  Set(D.Opt.ExhaustiveSearch, serve::JF_Exhaustive);
-  Set(D.Sanitize, serve::JF_Sanitize);
-  Set(D.Lint, serve::JF_Lint);
-  Set(D.LintStrict, serve::JF_LintStrict);
-  Set(D.Werror, serve::JF_Werror);
-  Set(D.Report, serve::JF_Report);
-  Set(D.SearchStats, serve::JF_SearchStats);
-  Set(D.PrintNaive, serve::JF_PrintNaive);
-  J.Flags = F;
-  J.BlockN = D.BlockN;
-  J.ThreadM = D.ThreadM;
-  J.TimeoutMs = D.DaemonTimeoutMs;
-  J.Dialect = D.Dialect == PrintDialect::OpenCL ? 1 : 0;
-  J.Interp = D.Opt.Interp == InterpBackend::Scalar ? 1 : 0;
-  return J;
-}
-
-/// Client-mode fallback cache. Opened lazily, at most once per process,
-/// and only if some request actually falls back in-process — a client
-/// whose every request the daemon serves never opens the disk cache at
-/// all (the one-open-per-daemon regression test pins this).
-struct LazyLocalCache {
-  std::once_flag Once;
-  std::unique_ptr<DiskCache> Disk;
-  SimCache Mem;
-
-  void ensure(const DriverOptions &D) {
-    std::call_once(Once, [&] {
-      if (!D.NoDiskCache) {
-        std::string Dir = D.CacheDir.empty() ? envOr("GPUC_CACHE_DIR", "")
-                                             : D.CacheDir;
-        if (!Dir.empty()) {
-          Disk = std::make_unique<DiskCache>(Dir);
-          if (!Disk->valid()) {
-            std::fprintf(stderr,
-                         "gpucc: warning: cannot use cache directory "
-                         "'%s'; continuing without a disk cache\n",
-                         Dir.c_str());
-            Disk.reset();
-          }
-        }
-      }
-      Mem.setBackend(Disk.get());
-    });
-  }
-};
-
-/// Single-file thin-client flow: ship the job to the daemon; print its
-/// stdout/stderr verbatim. On a fallback-eligible failure under
-/// --connect, compile in-process through the very same serve::Service
-/// path (so the output bytes match a daemon run).
-int runClient(DriverOptions &D) {
-  const std::string &Path = D.Inputs.front();
-  std::string Source;
-  if (!readInputFile(Path, Source)) {
-    std::fprintf(stderr, "gpucc: error: cannot open '%s'\n", Path.c_str());
-    return 1;
-  }
-  serve::CompileJob J = jobFromDriver(D, /*Name=*/"", std::move(Source));
+/// Compiles one input file: through the daemon when one is configured;
+/// otherwise, or on a sanctioned --connect fallback, in this process via
+/// serve::runCompileJob with \p Lanes search lanes. Batch lanes report
+/// under the file's banner, so their messages drop the "gpucc: " prefix.
+serve::CompileResult compileInput(const DriverOptions &D,
+                                  const std::string &Path, LocalTiers &Local,
+                                  int Lanes, serve::CompileKeep *Keep) {
   serve::CompileResult R;
-  std::string Err;
-  serve::ClientStatus S =
-      serve::compileViaDaemon(D.DaemonSocket, J, R, Err);
-  LazyLocalCache Local;
-  if (S != serve::ClientStatus::Ok) {
+  serve::CompileJob J = D.Job;
+  if (!readInputFile(Path, J.Source)) {
+    R.Code = 1;
+    R.Err = D.Batch ? "error: cannot open file\n"
+                    : strFormat("gpucc: error: cannot open '%s'\n",
+                                Path.c_str());
+    return R;
+  }
+  if (D.Batch)
+    J.Name = Path;
+  std::string Note;
+  if (D.Daemon != DriverOptions::DaemonUse::Off) {
+    std::string Err;
+    serve::ClientStatus S = serve::compileViaDaemon(D.DaemonSocket, J, R, Err);
+    if (S == serve::ClientStatus::Ok)
+      return R;
+    const char *Status = serve::clientStatusName(S);
     if (D.Daemon == DriverOptions::DaemonUse::Required ||
         !serve::fallbackEligible(S)) {
-      std::fprintf(stderr, "gpucc: error: daemon %s: %s\n",
-                   serve::clientStatusName(S), Err.c_str());
-      return 1;
+      R = serve::CompileResult(); // drop a half-decoded reply
+      R.Code = 1;
+      R.Err = strFormat("%serror: daemon %s: %s\n", D.Batch ? "" : "gpucc: ",
+                        Status, Err.c_str());
+      return R;
     }
-    std::fprintf(stderr,
-                 "gpucc: note: daemon %s (%s); compiling in-process\n",
-                 serve::clientStatusName(S), Err.c_str());
-    Local.ensure(D);
-    serve::ServiceContext Ctx;
-    Ctx.Mem = &Local.Mem;
-    Ctx.Disk = Local.Disk.get();
-    Ctx.Jobs = D.Opt.Jobs;
-    R = serve::runCompileJob(J, Ctx);
+    // A single file's note prints now, ahead of any cache-directory
+    // warning from the local tiers' first open.
+    if (D.Batch)
+      Note = strFormat("note: daemon %s; compiled in-process\n", Status);
+    else
+      std::fprintf(stderr,
+                   "gpucc: note: daemon %s (%s); compiling in-process\n",
+                   Status, Err.c_str());
   }
-  std::fputs(R.Out.c_str(), stdout);
-  std::fputs(R.Err.c_str(), stderr);
-  emitCacheStats(D, Local.Disk.get(), Local.Mem);
-  return R.Code;
+  Local.ensure(D);
+  serve::ServiceContext Ctx;
+  Ctx.Mem = &Local.Mem;
+  Ctx.Disk = Local.Disk.get();
+  Ctx.Jobs = Lanes;
+  R = serve::runCompileJob(J, Ctx, Keep);
+  R.Err = Note + R.Err;
+  return R;
 }
 
-/// Batch thin-client flow: every lane ships its file to the daemon, so
-/// the whole batch rides the daemon's shared warm cache. Lanes that fall
-/// back (daemon vanished or Busy mid-batch) share one lazily opened
-/// local cache. Output ordering matches runBatch exactly.
-int runClientBatch(DriverOptions &D) {
-  struct FileResult {
-    std::string Text;
-    std::string Err;
-    int Code = 0;
-  };
-  std::vector<FileResult> Results(D.Inputs.size());
-  LazyLocalCache Local;
-
-  unsigned OuterJobs = D.Opt.Jobs <= 0
-                           ? ThreadPool::defaultConcurrency()
-                           : static_cast<unsigned>(D.Opt.Jobs);
-  ThreadPool Pool(OuterJobs);
-  Pool.parallelFor(D.Inputs.size(), [&](size_t I) {
-    FileResult &FR = Results[I];
-    std::string Source;
-    if (!readInputFile(D.Inputs[I], Source)) {
-      FR.Code = 1;
-      FR.Err = "error: cannot open file\n";
-      return;
-    }
-    serve::CompileJob J =
-        jobFromDriver(D, D.Inputs[I], std::move(Source));
-    serve::CompileResult R;
-    std::string Err;
-    serve::ClientStatus S =
-        serve::compileViaDaemon(D.DaemonSocket, J, R, Err);
-    if (S != serve::ClientStatus::Ok) {
-      if (D.Daemon == DriverOptions::DaemonUse::Required ||
-          !serve::fallbackEligible(S)) {
-        FR.Code = 1;
-        FR.Err = strFormat("error: daemon %s: %s\n",
-                           serve::clientStatusName(S), Err.c_str());
-        return;
-      }
-      FR.Err = strFormat("note: daemon %s; compiled in-process\n",
-                         serve::clientStatusName(S));
-      Local.ensure(D);
-      serve::ServiceContext Ctx;
-      Ctx.Mem = &Local.Mem;
-      Ctx.Disk = Local.Disk.get();
-      Ctx.Jobs = 1; // lanes already parallelize across files
-      R = serve::runCompileJob(J, Ctx);
-    }
-    FR.Text = R.Out;
-    FR.Err += R.Err;
-    FR.Code = R.Code;
-  });
-
-  int Code = 0;
-  for (size_t I = 0; I < D.Inputs.size(); ++I) {
-    const FileResult &FR = Results[I];
-    std::printf("// ==== %s ====\n%s", D.Inputs[I].c_str(),
-                FR.Text.c_str());
-    if (!FR.Err.empty())
-      std::fprintf(stderr, "== %s ==\n%s", D.Inputs[I].c_str(),
-                   FR.Err.c_str());
-    if (FR.Code != 0)
-      Code = 1;
-  }
-  emitCacheStats(D, Local.Disk.get(), Local.Mem);
-  return Code;
+/// One input start to finish: compileInput, then the local post-steps
+/// over the kept kernels (--validate and --time-report), whose output
+/// follows the compile's stderr.
+serve::CompileResult runInput(const DriverOptions &D, const std::string &Path,
+                              LocalTiers &Local, int Lanes) {
+  const bool PostSteps = D.Validate || D.TimeReport;
+  serve::CompileKeep Keep;
+  WallTimer CompileTimer;
+  serve::CompileResult R =
+      compileInput(D, Path, Local, Lanes, PostSteps ? &Keep : nullptr);
+  if (R.Code != 0 || !PostSteps)
+    return R;
+  TimeReport Times("gpucc --time-report");
+  Times.add("compile", CompileTimer.elapsedMs());
+  if (D.Validate)
+    R.Code = Times.time("validate", [&] { return validate(D, Keep, R.Err); });
+  if (D.TimeReport)
+    R.Err += variantTimes(Keep.Out) + Times.str();
+  return R;
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
   DriverOptions D;
+  serve::CompileJob &J = D.Job;
 
   for (int I = 1; I < argc; ++I) {
     const char *Arg = argv[I];
-    if (std::strcmp(Arg, "--device=gtx8800") == 0) {
-      D.Opt.Device = DeviceSpec::gtx8800();
-      D.DeviceName = "gtx8800";
-    } else if (std::strcmp(Arg, "--device=gtx280") == 0) {
-      D.Opt.Device = DeviceSpec::gtx280();
-      D.DeviceName = "gtx280";
-    } else if (std::strcmp(Arg, "--device=hd5870") == 0) {
-      D.Opt.Device = DeviceSpec::hd5870();
-      D.DeviceName = "hd5870";
-    } else if (std::strcmp(Arg, "--opencl") == 0)
-      D.Dialect = PrintDialect::OpenCL;
+    const FlagOption *F = std::find_if(
+        std::begin(FlagOptions), std::end(FlagOptions),
+        [&](const FlagOption &O) { return std::strcmp(Arg, O.Arg) == 0; });
+    DeviceSpec Dev;
+    if (F != std::end(FlagOptions)) {
+      J.Flags = F->On ? J.Flags | F->Bits : J.Flags & ~F->Bits;
+    } else if (std::strncmp(Arg, "--device=", 9) == 0 &&
+               serve::deviceFromName(Arg + 9, Dev))
+      J.DeviceName = Arg + 9;
+    else if (std::strcmp(Arg, "--opencl") == 0)
+      J.Dialect = 1;
     else if (std::strncmp(Arg, "--block=", 8) == 0)
-      D.BlockN = std::atoi(Arg + 8);
+      J.BlockN = std::atoi(Arg + 8);
     else if (std::strncmp(Arg, "--thread=", 9) == 0)
-      D.ThreadM = std::atoi(Arg + 9);
-    else if (std::strcmp(Arg, "--no-vectorize") == 0)
-      D.Opt.Vectorize = false;
-    else if (std::strcmp(Arg, "--no-coalesce") == 0)
-      D.Opt.Coalesce = false;
-    else if (std::strcmp(Arg, "--no-merge") == 0)
-      D.Opt.Merge = false;
-    else if (std::strcmp(Arg, "--no-prefetch") == 0)
-      D.Opt.Prefetch = false;
-    else if (std::strcmp(Arg, "--no-partition") == 0)
-      D.Opt.PartitionElim = false;
-    else if (std::strcmp(Arg, "--no-layout-search") == 0)
-      D.Opt.LayoutSearch = false;
-    else if (std::strcmp(Arg, "--no-fold") == 0)
-      D.Opt.Fold = false;
-    else if (std::strcmp(Arg, "--report") == 0)
-      D.Report = true;
+      J.ThreadM = std::atoi(Arg + 9);
     else if (std::strcmp(Arg, "--validate") == 0)
       D.Validate = true;
-    else if (std::strcmp(Arg, "--print-naive") == 0)
-      D.PrintNaive = true;
-    else if (std::strcmp(Arg, "--sanitize") == 0)
-      D.Sanitize = true;
-    else if (std::strcmp(Arg, "--lint") == 0)
-      D.Lint = true;
-    else if (std::strcmp(Arg, "--lint=strict") == 0)
-      D.Lint = D.LintStrict = true;
-    else if (std::strcmp(Arg, "--Werror") == 0)
-      D.Werror = true;
     else if (std::strncmp(Arg, "--jobs=", 7) == 0)
-      D.Opt.Jobs = std::atoi(Arg + 7);
+      D.Jobs = std::atoi(Arg + 7);
     else if (std::strcmp(Arg, "--jobs") == 0 && I + 1 < argc)
-      D.Opt.Jobs = std::atoi(argv[++I]);
-    else if (std::strcmp(Arg, "--no-prune") == 0)
-      D.Opt.ExhaustiveSearch = true;
+      D.Jobs = std::atoi(argv[++I]);
+    else if (std::strcmp(Arg, "--interp=scalar") == 0)
+      J.Interp = 1;
+    else if (std::strcmp(Arg, "--interp=vector") == 0)
+      J.Interp = 0;
     else if (std::strncmp(Arg, "--interp=", 9) == 0) {
-      if (std::strcmp(Arg + 9, "scalar") == 0)
-        D.Opt.Interp = InterpBackend::Scalar;
-      else if (std::strcmp(Arg + 9, "vector") == 0)
-        D.Opt.Interp = InterpBackend::Vector;
-      else {
-        std::fprintf(stderr, "gpucc: error: bad --interp value '%s'\n",
-                     Arg + 9);
-        return 1;
-      }
-    }
-    else if (std::strcmp(Arg, "--search-stats") == 0)
-      D.SearchStats = true;
-    else if (std::strcmp(Arg, "--time-report") == 0)
-      D.TimeReportFlag = true;
+      std::fprintf(stderr, "gpucc: error: bad --interp value '%s'\n",
+                   Arg + 9);
+      return 1;
+    } else if (std::strcmp(Arg, "--time-report") == 0)
+      D.TimeReport = true;
     else if (std::strcmp(Arg, "--batch") == 0)
       D.Batch = true;
     else if (std::strncmp(Arg, "--cache-dir=", 12) == 0)
@@ -919,7 +483,7 @@ int main(int argc, char **argv) {
       D.Daemon = DriverOptions::DaemonUse::Required;
       D.DaemonSocket = Arg + 9;
     } else if (std::strncmp(Arg, "--daemon-timeout-ms=", 20) == 0)
-      D.DaemonTimeoutMs = static_cast<unsigned>(std::atoi(Arg + 20));
+      J.TimeoutMs = static_cast<unsigned>(std::atoi(Arg + 20));
     else if (std::strcmp(Arg, "--cache-stats") == 0)
       D.CacheStatsFlag = true;
     else if (std::strncmp(Arg, "--cache-stats=", 14) == 0) {
@@ -945,21 +509,18 @@ int main(int argc, char **argv) {
                  "gpucc: error: multiple inputs require --batch\n");
     return 1;
   }
-  if (D.Batch &&
-      (D.Report || D.Validate || D.PrintNaive || D.BlockN > 0 ||
-       D.ThreadM > 0)) {
+  if (D.Batch && (D.has(serve::JF_Report) || D.Validate ||
+                  D.has(serve::JF_PrintNaive) || J.BlockN > 0 ||
+                  J.ThreadM > 0)) {
     std::fprintf(stderr,
                  "gpucc: error: --report/--validate/--print-naive/--block/"
                  "--thread are not supported with --batch\n");
     return 1;
   }
 
-  // Thin-client routing. --validate and --time-report are local-only
-  // (the simulation runs and wall-clock timing happen in this process),
-  // so they never ride the daemon: --connect quietly compiles
-  // in-process, --daemon refuses. Client mode opens no disk cache up
-  // front — the daemon owns the only open; a local cache appears lazily
-  // and only if a request actually falls back.
+  // Thin-client routing. --validate and --time-report are local post-steps
+  // over the compiled kernels, which never cross the wire: --connect
+  // quietly compiles in-process, --daemon refuses.
   if (D.Daemon != DriverOptions::DaemonUse::Off) {
     if (D.DaemonSocket.empty())
       D.DaemonSocket = envOr("GPUC_DAEMON_SOCKET", "");
@@ -969,7 +530,7 @@ int main(int argc, char **argv) {
                    "--daemon=SOCK or $GPUC_DAEMON_SOCKET)\n");
       return 1;
     }
-    if (D.Validate || D.TimeReportFlag) {
+    if (D.Validate || D.TimeReport) {
       if (D.Daemon == DriverOptions::DaemonUse::Required) {
         std::fprintf(stderr,
                      "gpucc: error: --validate/--time-report are not "
@@ -980,30 +541,43 @@ int main(int argc, char **argv) {
       D.Daemon = DriverOptions::DaemonUse::Off;
     }
   }
-  if (D.Daemon != DriverOptions::DaemonUse::Off)
-    return D.Batch ? runClientBatch(D) : runClient(D);
 
-  // Persistent cache wiring: explicit flag first, then the environment.
-  std::unique_ptr<DiskCache> Disk;
-  if (!D.NoDiskCache) {
-    std::string Dir = D.CacheDir.empty() ? envOr("GPUC_CACHE_DIR", "")
-                                         : D.CacheDir;
-    if (!Dir.empty()) {
-      Disk = std::make_unique<DiskCache>(Dir);
-      if (!Disk->valid()) {
-        std::fprintf(stderr,
-                     "gpucc: warning: cannot use cache directory '%s'; "
-                     "continuing without a disk cache\n",
-                     Dir.c_str());
-        Disk.reset();
-      }
-    }
+  // In-process runs open the local tiers up front; client mode leaves
+  // them to the first fallback (the daemon owns the only open).
+  LocalTiers Local;
+  if (D.Daemon == DriverOptions::DaemonUse::Off)
+    Local.ensure(D);
+  const int Lanes = D.Jobs <= 0
+                        ? static_cast<int>(ThreadPool::defaultConcurrency())
+                        : D.Jobs;
+
+  if (!D.Batch) {
+    serve::CompileResult R = runInput(D, D.Inputs.front(), Local, Lanes);
+    std::fputs(R.Out.c_str(), stdout);
+    std::fputs(R.Err.c_str(), stderr);
+    emitCacheStats(D, Local);
+    return R.Code;
   }
-  SimCache Mem;
-  Mem.setBackend(Disk.get());
 
-  int Code = D.Batch ? runBatch(D, Disk.get(), Mem)
-                     : runSingle(D, Disk.get(), Mem);
-  emitCacheStats(D, Disk.get(), Mem);
+  // Batch: one lane per file, each compile searching serially (nested
+  // parallelism would oversubscribe, and results are identical anyway);
+  // output and diagnostics print strictly in input order, so the streams
+  // are byte-identical for any lane count and any cache temperature.
+  std::vector<serve::CompileResult> Results(D.Inputs.size());
+  ThreadPool Pool(static_cast<unsigned>(Lanes));
+  Pool.parallelFor(D.Inputs.size(), [&](size_t I) {
+    Results[I] = runInput(D, D.Inputs[I], Local, /*Lanes=*/1);
+  });
+  int Code = 0;
+  for (size_t I = 0; I < D.Inputs.size(); ++I) {
+    const serve::CompileResult &R = Results[I];
+    std::printf("// ==== %s ====\n%s", D.Inputs[I].c_str(), R.Out.c_str());
+    if (!R.Err.empty())
+      std::fprintf(stderr, "== %s ==\n%s", D.Inputs[I].c_str(),
+                   R.Err.c_str());
+    if (R.Code != 0)
+      Code = 1;
+  }
+  emitCacheStats(D, Local);
   return Code;
 }
