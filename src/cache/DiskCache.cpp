@@ -40,6 +40,10 @@ bool readFile(const std::string &Path, std::string &Out) {
 
 std::atomic<uint64_t> OpenCounter{0};
 
+/// Suffix for temp and quarantine file names. Process-wide: two instances
+/// on one directory in one process must never pick the same name.
+std::atomic<uint64_t> NextTmpId{0};
+
 } // namespace
 
 DiskCache::DiskCache(std::string Directory) : Dir(std::move(Directory)) {

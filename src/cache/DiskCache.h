@@ -123,7 +123,6 @@ private:
 
   std::string Dir;
   bool Valid = false;
-  std::atomic<uint64_t> NextTmpId{0};
   std::atomic<uint64_t> SimHits{0}, SimMisses{0};
   std::atomic<uint64_t> TextHits{0}, TextMisses{0};
   std::atomic<uint64_t> Writes{0}, WriteErrors{0};

@@ -343,16 +343,17 @@ PartitionCampResult gpuc::applyLayout(KernelFunction &K, ASTContext &Ctx,
       R.AppliedOffset = applyOffsetRotation(K, Ctx, Device, D);
     break;
   default:
-    // Pure block-id permutations apply whenever bijective on this
-    // variant's actual grid (merging reshapes grids, so a point legal on
-    // the probe can be illegal on a merged variant — it degrades to the
-    // identity there).
-    if (!P.Remap.identity() &&
-        remapLegal(P.Remap, K.launch().GridDimX, K.launch().GridDimY)) {
-      K.launch().Remap = P.Remap;
-      R.AppliedDiagonal = P.K == LayoutPoint::Kind::Diagonal;
-    }
+    R.AppliedDiagonal =
+        installRemap(K, P) && P.K == LayoutPoint::Kind::Diagonal;
     break;
   }
   return R;
+}
+
+bool gpuc::installRemap(KernelFunction &K, const LayoutPoint &P) {
+  if (P.Remap.identity() ||
+      !remapLegal(P.Remap, K.launch().GridDimX, K.launch().GridDimY))
+    return false;
+  K.launch().Remap = P.Remap;
+  return true;
 }

@@ -135,6 +135,12 @@ std::vector<LayoutPoint> enumerateLayouts(const KernelFunction &K,
                                           const CampingAnalysis &CA,
                                           bool FullFamily = false);
 
+/// Installs pure-remap point \p P on \p K when it is bijective on K's
+/// actual grid; an illegal point leaves the identity in place (merging
+/// reshapes grids, so a point legal on the probe can be illegal on a
+/// merged variant). \returns true when a remap was installed.
+bool installRemap(KernelFunction &K, const LayoutPoint &P);
+
 /// Applies one family point to \p K: installs the block remap (after
 /// re-checking legality on K's actual grid — an illegal point degrades to
 /// the identity) or performs the address-offset rotation (detection-gated

@@ -107,7 +107,8 @@ KernelFunction *GpuCompiler::compileVariant(const KernelFunction &Naive,
                                             MergePlan *PlanOut,
                                             PartitionCampResult *CampOut,
                                             const LayoutPoint *Layout,
-                                            CampingAnalysis *ScanOut) {
+                                            CampingAnalysis *ScanOut,
+                                            bool *ViolationOut) {
   std::string Name =
       strFormat("%s_opt_b%d_t%d", Naive.name().c_str(), BlockN, ThreadM);
   KernelFunction *V = cloneKernel(M, &Naive, Name);
@@ -124,6 +125,13 @@ KernelFunction *GpuCompiler::compileVariant(const KernelFunction &Naive,
     if (Hook)
       Hook(StageName, *V, Final);
   };
+  // Paths that skip the Verify step run the engine just for the verdict.
+  auto Finish = [&] {
+    if (ViolationOut)
+      *ViolationOut = runDataflow(*V).anyViolation();
+    Stage("final", /*Final=*/true);
+    return V;
+  };
   Stage("input");
 
   if (Opt.Vectorize) {
@@ -135,15 +143,11 @@ KernelFunction *GpuCompiler::compileVariant(const KernelFunction &Naive,
     Stage("vectorize");
   }
 
-  if (!Opt.Coalesce) {
-    Stage("final", /*Final=*/true);
-    return V;
-  }
+  if (!Opt.Coalesce)
+    return Finish();
 
-  if (!setHalfWarpLaunch(*V)) {
-    Stage("final", /*Final=*/true);
-    return V; // domain not tileable; keep the naive launch
-  }
+  if (!setHalfWarpLaunch(*V))
+    return Finish(); // domain not tileable; keep the naive launch
 
   // Transpose-shaped kernels: if stores are non-coalesced and exchanging
   // idx/idy fixes them, exchange (Section 3.3's loop-interchange analog).
@@ -202,18 +206,22 @@ KernelFunction *GpuCompiler::compileVariant(const KernelFunction &Naive,
   if (Opt.Fold)
     foldKernel(*V, Ctx);
 
-  if (Opt.Verify) {
-    for (const std::string &Violation : verifyKernel(*V))
-      Diags.error(SourceLocation(),
-                  strFormat("%s: %s", V->name().c_str(), Violation.c_str()));
-    // Barrier uniformity is semantic, not structural: the dataflow
-    // engine's divergence lattice must prove every barrier (conservative
-    // parity with the pre-analysis Verifier: an unproven barrier is still
-    // an error, but thread-invariant conditions now verify).
-    for (const BarrierIssue &Issue : checkBarriers(*V))
-      Diags.error(SourceLocation(), strFormat("%s: %s", V->name().c_str(),
-                                              Issue.Message.c_str()));
-  }
+  if (!Opt.Verify)
+    return Finish();
+  for (const std::string &Violation : verifyKernel(*V))
+    Diags.error(SourceLocation(),
+                strFormat("%s: %s", V->name().c_str(), Violation.c_str()));
+  // Barrier uniformity is semantic, not structural: the dataflow engine's
+  // divergence lattice must prove every barrier (conservative parity with
+  // the pre-analysis Verifier: an unproven barrier is still an error, but
+  // thread-invariant conditions now verify). The same engine run answers
+  // the search's static prune.
+  DataflowResult Facts = runDataflow(*V);
+  for (const BarrierIssue &Issue : checkBarriers(Facts))
+    Diags.error(SourceLocation(), strFormat("%s: %s", V->name().c_str(),
+                                            Issue.Message.c_str()));
+  if (ViolationOut)
+    *ViolationOut = Facts.anyViolation();
   Stage("final", /*Final=*/true);
   return V;
 }
@@ -237,10 +245,11 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
   const bool LayoutMode = Opt.LayoutSearch && Opt.PartitionElim;
   const LayoutPoint Identity = LayoutPoint::identityPoint();
   CampingAnalysis Scan;
-  KernelFunction *Probe =
-      compileVariant(Naive, Opt, /*BlockN=*/1, /*ThreadM=*/1, &Out.Plan,
-                     &Out.Camping, LayoutMode ? &Identity : nullptr,
-                     LayoutMode ? &Scan : nullptr);
+  bool ProbeViolation = false;
+  KernelFunction *Probe = compileVariant(
+      Naive, Opt, /*BlockN=*/1, /*ThreadM=*/1, &Out.Plan, &Out.Camping,
+      LayoutMode ? &Identity : nullptr, LayoutMode ? &Scan : nullptr,
+      Opt.StaticPrune ? &ProbeViolation : nullptr);
   if (!Probe || Diags.hasErrors()) {
     Out.Log += "probe compilation failed\n";
     return Out;
@@ -279,6 +288,10 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
     std::shared_ptr<Module> Owner;
     DiagnosticsEngine TaskDiags;
     KernelFunction *Kernel = nullptr;
+    /// Slots whose kernels are copies of this slot's build.
+    std::vector<size_t> Copies;
+    /// The dataflow engine proved a violation (filled under StaticPrune).
+    bool Violation = false;
     Occupancy Occ;
     bool OccInfeasible = false;
     bool Probed = false;
@@ -288,7 +301,10 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
     bool StaticallyPruned = false;
     PerfResult Perf;
     std::string SimLog;
+    /// Own compile work: the build, or for a copy the copy alone.
     double CompileWallMs = 0;
+    /// A copy's build wall (0 for a build), for the critical path.
+    double BuildWallMs = 0;
     double SimWallMs = 0;
   };
   std::vector<Candidate> Cands(Layouts.size() * BlockNs.size() *
@@ -303,6 +319,19 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
           Cands[I].Mm = Mm;
           ++I;
         }
+  }
+
+  // One build per distinct body. A pure block remap changes only
+  // LaunchConfig::Remap, so every pure-remap point at one (N, M) copies
+  // that (N, M)'s identity build — the same slot in layout block 0. The
+  // offset rotation rewrites the body and builds on its own.
+  const size_t PerLayout = BlockNs.size() * ThreadMs.size();
+  std::vector<size_t> Builds;
+  for (size_t I = 0; I < Cands.size(); ++I) {
+    if (I >= PerLayout && Cands[I].Layout.pureRemap())
+      Cands[I % PerLayout].Copies.push_back(I);
+    else
+      Builds.push_back(I);
   }
 
   // The stage hook (the sanitizer layer) observes every intermediate
@@ -334,27 +363,52 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
   constexpr double LowerBoundSafety = 0.75;
   const PerfOptions ProbeOpts = PerfOptions::lowerBoundProbe();
 
-  // Phase A: compile every candidate in its own Module/ASTContext arena
-  // with its own DiagnosticsEngine, compute occupancy, and (unless the
-  // search is exhaustive) estimate a lower bound with a cheap probe run.
-  Pool.parallelFor(Cands.size(), [&](size_t I) {
-    Candidate &C = Cands[I];
+  // Phase A: compile every distinct body in its own Module/ASTContext
+  // arena with its own DiagnosticsEngine and copy it for its remap points.
+  Pool.parallelFor(Builds.size(), [&](size_t B) {
+    Candidate &C = Cands[Builds[B]];
     if (compileCancelled(Opt))
-      return; // cancelled: leave the slot unbuilt, discarded below
+      return; // cancelled: leave the slots unbuilt, discarded below
     WallTimer CompileTimer;
-    if (C.N == 1 && C.Mm == 1 && C.Layout.identity()) {
+    if (Builds[B] == 0) {
       C.Kernel = Probe; // already built for the plan probe
       C.Camp = Out.Camping;
+      C.Violation = ProbeViolation;
     } else {
       C.Owner = std::make_shared<Module>();
       GpuCompiler TaskCompiler(*C.Owner, C.TaskDiags);
-      C.Kernel =
-          TaskCompiler.compileVariant(Naive, Opt, C.N, C.Mm, nullptr,
-                                      &C.Camp,
-                                      LayoutMode ? &C.Layout : nullptr);
+      C.Kernel = TaskCompiler.compileVariant(
+          Naive, Opt, C.N, C.Mm, nullptr, &C.Camp,
+          LayoutMode ? &C.Layout : nullptr, nullptr,
+          Opt.StaticPrune ? &C.Violation : nullptr);
     }
     C.CompileWallMs = CompileTimer.elapsedMs();
     if (!C.Kernel)
+      return;
+    // Copies are taken before any simulation: the interpreter writes
+    // annotations into the build's nodes. The dataflow engine ignores
+    // the remap, so a copy inherits the build's verdict; its camping
+    // detection ran on the shared body, and a remap that is not
+    // bijective on the built grid leaves the copy at the identity.
+    for (size_t J : C.Copies) {
+      Candidate &R = Cands[J];
+      WallTimer CopyTimer;
+      R.Owner = std::make_shared<Module>();
+      R.Kernel = cloneKernel(*R.Owner, C.Kernel, C.Kernel->name());
+      R.Camp = C.Camp;
+      R.Camp.AppliedDiagonal = installRemap(*R.Kernel, R.Layout) &&
+                               R.Layout.K == LayoutPoint::Kind::Diagonal;
+      R.Violation = C.Violation;
+      R.CompileWallMs = CopyTimer.elapsedMs();
+      R.BuildWallMs = C.CompileWallMs;
+    }
+  });
+
+  // Phase B: occupancy, static prune and (unless the search is
+  // exhaustive) a lower bound from a cheap probe run, per slot.
+  Pool.parallelFor(Cands.size(), [&](size_t I) {
+    Candidate &C = Cands[I];
+    if (!C.Kernel || compileCancelled(Opt))
       return;
     C.Occ = computeOccupancy(Opt.Device, *C.Kernel);
     C.OccInfeasible = C.Occ.Infeasible;
@@ -365,7 +419,7 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
     // simulation outright. The fuzz oracle's static/dynamic differential
     // keeps this sound, which is what guarantees identical winners with
     // pruning on or off.
-    if (Opt.StaticPrune && runDataflow(*C.Kernel).anyViolation()) {
+    if (Opt.StaticPrune && C.Violation) {
       C.StaticallyPruned = true;
       return;
     }
@@ -382,11 +436,11 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
       C.LowerBoundMs = LB.TimeMs * LowerBoundSafety;
   });
 
-  // Replay per-task diagnostics into the caller's engine in slot order
-  // (identical text for every lane count). Exact duplicates are emitted
-  // once: every variant of one kernel runs the same sanitizer over mostly
-  // identical stages, and repeating a finding per candidate only buries
-  // it.
+  // Replay per-build diagnostics into the caller's engine in slot order
+  // (identical text for every lane count; copies report nothing). Exact
+  // duplicates are emitted once: every variant of one kernel runs the
+  // same sanitizer over mostly identical stages, and repeating a finding
+  // per candidate only buries it.
   {
     std::set<std::tuple<DiagKind, int, int, std::string>> Seen;
     for (const Diagnostic &D : Diags.diagnostics())
@@ -417,7 +471,7 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
         !Cands[I].StaticallyPruned)
       Runnable.push_back(I);
 
-  // Phase B: full performance runs. The candidate with the smallest lower
+  // Phase C: full performance runs. The candidate with the smallest lower
   // bound becomes the champion; it is measured first and its time prunes
   // every candidate whose bound it beats. A pruned candidate's true time
   // is >= its bound > the champion's time >= the final winner's time, so
@@ -448,7 +502,7 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
                      [&](size_t I) { FullSim(Survivors[I]); });
   }
 
-  // Phase C: deterministic reduction in canonical order; strict < keeps
+  // Phase D: deterministic reduction in canonical order; strict < keeps
   // the earliest candidate on ties, exactly like the serial loop did.
   PartitionCampResult BestCamp;
   for (Candidate &C : Cands) {
@@ -528,8 +582,9 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
     Out.Search.Infeasible += C.OccInfeasible ? 1 : 0;
     Out.Search.CompileMs += C.CompileWallMs;
     Out.Search.SimMs += C.SimWallMs;
-    Out.Search.CritPathMs = std::max(Out.Search.CritPathMs,
-                                     C.CompileWallMs + C.SimWallMs);
+    Out.Search.CritPathMs =
+        std::max(Out.Search.CritPathMs,
+                 C.BuildWallMs + C.CompileWallMs + C.SimWallMs);
   }
   Out.Search.CacheHits = Cache->hits() - Hits0;
   Out.Search.CacheMisses = Cache->misses() - Misses0;

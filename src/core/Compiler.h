@@ -103,7 +103,7 @@ struct CompileOptions {
   /// serial search and a parallel one select the same best variant and
   /// produce identical output (see DESIGN.md §4). When Hook is set the
   /// search runs serially regardless: the hook observes every stage of
-  /// every variant in a defined order.
+  /// every distinct variant body in a defined order.
   int Jobs = 0;
   /// Simulate every feasible candidate instead of pruning by the cheap
   /// lower-bound probe. Slower; selects the same winner (test-enforced).
@@ -165,7 +165,8 @@ struct VariantResult {
   bool StaticallyPruned = false;
   /// The pruning estimate (ms); 0 when no probe ran.
   double LowerBoundMs = 0;
-  /// Wall-clock spent compiling / simulating this variant.
+  /// Wall-clock spent compiling / simulating this variant (a pure-remap
+  /// variant's compile is the copy of its shared build).
   double CompileWallMs = 0;
   double SimWallMs = 0;
   double timeMs() const { return Perf.TimeMs; }
@@ -199,7 +200,8 @@ struct SearchStats {
   double CompileMs = 0;
   double SimMs = 0;
   /// Critical-path estimate: the longest single-candidate compile +
-  /// simulate chain. A lower bound on any schedule's wall-clock, and the
+  /// simulate chain (a remap copy's chain includes the build it was
+  /// copied from). A lower bound on any schedule's wall-clock, and the
   /// number to set against WallMs.
   double CritPathMs = 0;
   /// Interpreter runs in this search that asked for the vector engine but
@@ -302,17 +304,23 @@ public:
   /// (core/AffineLayout) instead of the legacy heuristic; \p ScanOut, when
   /// set, receives the camping analysis taken at that stage (with the
   /// block-merge scale factors probed), which is what gates the layout
-  /// enumeration. \returns null on failure.
+  /// enumeration. \p ViolationOut, when set, receives the dataflow
+  /// engine's anyViolation() verdict on the finished kernel: the Verify
+  /// step's own engine run when Verify is on, one extra run otherwise.
+  /// \returns null on failure.
   KernelFunction *compileVariant(const KernelFunction &Naive,
                                  const CompileOptions &Opt, int BlockN,
                                  int ThreadM, MergePlan *PlanOut = nullptr,
                                  PartitionCampResult *CampOut = nullptr,
                                  const LayoutPoint *Layout = nullptr,
-                                 CampingAnalysis *ScanOut = nullptr);
+                                 CampingAnalysis *ScanOut = nullptr,
+                                 bool *ViolationOut = nullptr);
 
   /// Full compilation: enumerates merge-factor candidates, test-runs each
   /// version on the simulator (the paper's empirical search) and returns
-  /// the fastest feasible one.
+  /// the fastest feasible one. Each distinct body is compiled once: the
+  /// pure block-remap layout points at one (N, M) are copies of that
+  /// (N, M)'s identity build with only LaunchConfig::Remap changed.
   CompileOutput compile(const KernelFunction &Naive,
                         const CompileOptions &Opt = CompileOptions());
 

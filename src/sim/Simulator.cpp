@@ -149,9 +149,13 @@ PerfResult Simulator::runPerformance(const KernelFunction &K,
           (T.IsStore ? "store " : "load  ") + printExpr(Ref);
       R.Sites.emplace_back(std::move(Label), T);
     }
+    // Heaviest mover first; equal traffic goes by label, so the order
+    // never depends on the sites' heap addresses.
     std::sort(R.Sites.begin(), R.Sites.end(),
               [](const auto &A, const auto &B) {
-                return A.second.BytesMoved > B.second.BytesMoved;
+                if (A.second.BytesMoved != B.second.BytesMoved)
+                  return A.second.BytesMoved > B.second.BytesMoved;
+                return A.first < B.first;
               });
   }
   R.Timing = estimateTime(Dev, R.Stats, R.Occ, NumBlocks);

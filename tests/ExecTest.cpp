@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Dataflow.h"
 #include "analysis/Sanitizer.h"
 #include "ast/Hash.h"
 #include "ast/Printer.h"
@@ -368,6 +369,43 @@ TEST(SanitizedSearch, LintDiagnosticsMatchAcrossLaneCounts) {
   EXPECT_EQ(SerialSum.Unanalyzable, ParallelSum.Unanalyzable);
 }
 
+namespace {
+
+/// Every variant's StaticallyPruned flag must equal the dataflow engine's
+/// verdict on that variant: the search reuses the Verify step's engine run
+/// (or its own single run without Verify) instead of analyzing twice.
+void expectPruneMatchesVerdict(KernelFunction &Naive, Module &M,
+                               const CompileOptions &Base) {
+  for (int Config = 0; Config < 3; ++Config) {
+    SCOPED_TRACE(Config == 0 ? "verify" : Config == 1 ? "no verify"
+                                                      : "no coalesce");
+    CompileOptions Opt = Base;
+    Opt.Verify = Config == 0;
+    Opt.Coalesce = Config != 2;
+    DiagnosticsEngine D;
+    GpuCompiler GC(M, D);
+    CompileOutput Out = GC.compile(Naive, Opt);
+    ASSERT_FALSE(Out.Variants.empty()) << D.str() << Out.Log;
+    for (const VariantResult &V : Out.Variants) {
+      ASSERT_NE(V.Kernel, nullptr);
+      EXPECT_EQ(V.StaticallyPruned, runDataflow(*V.Kernel).anyViolation())
+          << V.Kernel->name() << " " << V.Layout;
+    }
+  }
+}
+
+} // namespace
+
+TEST_P(SearchDeterminism, StaticPruneReadsTheVerifyStepsVerdict) {
+  Module M;
+  DiagnosticsEngine D;
+  KernelFunction *Naive = parseNaive(M, GetParam(), testSize(GetParam()), D);
+  ASSERT_NE(Naive, nullptr) << D.str();
+  CompileOptions Opt;
+  Opt.Jobs = 4;
+  expectPruneMatchesVerdict(*Naive, M, Opt);
+}
+
 TEST(SanitizedSearch, StaticPruneRejectsProvenOutOfBoundsVariants) {
   // A kernel every variant of which provably faults: the pre-filter must
   // reject each candidate before simulation and count it.
@@ -391,6 +429,7 @@ TEST(SanitizedSearch, StaticPruneRejectsProvenOutOfBoundsVariants) {
   // With every candidate rejected the search falls back to the unit
   // probe, which is reported as not feasible.
   EXPECT_FALSE(Out.BestVariant.Feasible);
+  expectPruneMatchesVerdict(*K, M, Opt);
 }
 
 TEST(SearchDefaults, DefaultJobsMatchesSerial) {

@@ -13,8 +13,11 @@
 #include "core/AffineLayout.h"
 #include "core/Compiler.h"
 #include "core/Report.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
+#include <atomic>
+#include <map>
 #include <set>
 
 using namespace gpuc;
@@ -217,6 +220,121 @@ TEST(LayoutSearch, JobsInvariance) {
     EXPECT_EQ(Serial.BestMs, Parallel.BestMs);
     EXPECT_EQ(Serial.VariantLayouts, Parallel.VariantLayouts);
     EXPECT_EQ(Serial.Log, Parallel.Log);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Build sharing: a pure block remap changes only LaunchConfig::Remap, so
+// the search compiles each distinct body once and copies it for the remap
+// points at the same merge factors.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Kernels whose searches enumerate non-identity layout points: four
+/// 80-candidate searches (20 bodies each), the 1-D mv family with the
+/// offset rotation, and the square-grid tp family with the diagonal.
+const std::vector<std::pair<Algo, long long>> &remapSearches() {
+  static const std::vector<std::pair<Algo, long long>> S = {
+      {Algo::MM, 128},          {Algo::STRSM, 64}, {Algo::DEMOSAIC, 128},
+      {Algo::IMREGIONMAX, 128}, {Algo::MV, 4096},  {Algo::TP, 2048}};
+  return S;
+}
+
+/// Point name -> block remap, over every pure remap the family has (the
+/// full family of a square 2-D grid).
+std::map<std::string, BlockRemap> familyRemaps() {
+  KernelFunction Square("square", nullptr);
+  Square.launch().GridDimX = Square.launch().GridDimY = 4;
+  std::map<std::string, BlockRemap> Out;
+  for (const LayoutPoint &P : enumerateLayouts(Square, DeviceSpec::gtx280(),
+                                               CampingAnalysis(),
+                                               /*FullFamily=*/true))
+    if (P.pureRemap())
+      Out[P.name()] = P.Remap;
+  return Out;
+}
+
+bool sharesABuild(const VariantResult &V) {
+  const std::string L = V.Layout;
+  return L != "identity" && L != "offset";
+}
+
+} // namespace
+
+TEST(LayoutSearch, EachDistinctBodyIsCompiledOnce) {
+  for (bool LayoutSearch : {true, false}) {
+    for (const auto &[A, N] : remapSearches()) {
+      SCOPED_TRACE(std::string(algoInfo(A).Name) +
+                   (LayoutSearch ? " layout" : " legacy"));
+      Module M;
+      DiagnosticsEngine D;
+      KernelFunction *Naive = parseNaive(M, A, N, D);
+      ASSERT_NE(Naive, nullptr) << D.str();
+      std::atomic<int> Finals{0};
+      CompileOptions Opt;
+      Opt.LayoutSearch = LayoutSearch;
+      Opt.Jobs = 4;
+      Opt.HookFactory = [&Finals](DiagnosticsEngine &) -> StageHook {
+        return [&Finals](const char *, KernelFunction &, bool Final) {
+          if (Final)
+            ++Finals;
+        };
+      };
+      GpuCompiler GC(M, D);
+      CompileOutput Out = GC.compile(*Naive, Opt);
+      ASSERT_NE(Out.Best, nullptr) << D.str() << Out.Log;
+      int Bodies = 0;
+      for (const VariantResult &V : Out.Variants)
+        Bodies += sharesABuild(V) ? 0 : 1;
+      EXPECT_EQ(Finals.load(), Bodies);
+      if (!LayoutSearch) {
+        EXPECT_EQ(Bodies, Out.Search.Candidates);
+      } else if (A != Algo::MV && A != Algo::TP) {
+        EXPECT_EQ(Out.Search.Candidates, 80);
+        EXPECT_EQ(Bodies, 20);
+      }
+    }
+  }
+}
+
+TEST(LayoutSearch, RemapCopiesDifferFromTheirBuildOnlyInTheRemap) {
+  const std::map<std::string, BlockRemap> Family = familyRemaps();
+  for (const auto &[A, N] : remapSearches()) {
+    SCOPED_TRACE(algoInfo(A).Name);
+    Module M;
+    DiagnosticsEngine D;
+    KernelFunction *Naive = parseNaive(M, A, N, D);
+    ASSERT_NE(Naive, nullptr) << D.str();
+    CompileOptions Opt;
+    Opt.Jobs = 4;
+    GpuCompiler GC(M, D);
+    CompileOutput Out = GC.compile(*Naive, Opt);
+    ASSERT_NE(Out.Best, nullptr) << D.str() << Out.Log;
+    std::map<std::pair<int, int>, const VariantResult *> Identity;
+    for (const VariantResult &V : Out.Variants)
+      if (std::string(V.Layout) == "identity")
+        Identity[{V.BlockMergeN, V.ThreadMergeM}] = &V;
+    int Copies = 0;
+    for (const VariantResult &V : Out.Variants) {
+      if (!sharesABuild(V))
+        continue;
+      ++Copies;
+      SCOPED_TRACE(strFormat("%s b%d t%d", V.Layout, V.BlockMergeN,
+                             V.ThreadMergeM));
+      const VariantResult *Sibling =
+          Identity[{V.BlockMergeN, V.ThreadMergeM}];
+      ASSERT_NE(Sibling, nullptr);
+      ASSERT_TRUE(Family.count(V.Layout));
+      const BlockRemap &Point = Family.at(V.Layout);
+      LaunchConfig &L = V.Kernel->launch();
+      const bool Legal = remapLegal(Point, L.GridDimX, L.GridDimY);
+      EXPECT_EQ(L.Remap == Point, Legal);
+      EXPECT_EQ(L.Remap.identity(), !Legal);
+      L.Remap = BlockRemap();
+      EXPECT_EQ(printKernel(*V.Kernel), printKernel(*Sibling->Kernel));
+    }
+    EXPECT_GT(Copies, 0);
   }
 }
 

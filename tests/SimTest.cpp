@@ -410,6 +410,37 @@ TEST(PerfMode, UncoalescedKernelMovesMoreBytes) {
   EXPECT_GT(RBad.TimeMs, RGood.TimeMs);
 }
 
+TEST(PerfMode, EqualTrafficSitesAreOrderedByLabel) {
+  // Every site moves the same bytes; the traffic table must list them by
+  // label, whatever order their nodes were allocated in.
+  Module M;
+  KernelBuilder B(M, "sum3");
+  for (const char *Name : {"z", "m", "a"})
+    B.arrayParam(Name, Type::floatTy(), {256});
+  B.arrayParam("out", Type::floatTy(), {256}, true);
+  Expr *Z = B.at("z", {B.idx()});
+  Expr *Mid = B.at("m", {B.idx()});
+  Expr *A = B.at("a", {B.idx()});
+  B.assign(B.at("out", {B.idx()}), B.add(B.add(Z, Mid), A));
+  KernelFunction *K = B.finish(64, 1, 256, 1);
+
+  Simulator Sim(DeviceSpec::gtx280());
+  BufferSet Buf;
+  DiagnosticsEngine D;
+  PerfOptions PO;
+  PO.TrackSites = true;
+  PerfResult R = Sim.runPerformance(*K, Buf, D, PO);
+  ASSERT_TRUE(R.Valid) << D.str();
+  std::vector<std::string> Labels;
+  for (const auto &[Label, T] : R.Sites) {
+    EXPECT_EQ(T.BytesMoved, R.Sites.front().second.BytesMoved) << Label;
+    Labels.push_back(Label);
+  }
+  EXPECT_EQ(Labels, (std::vector<std::string>{"load  a[idx]", "load  m[idx]",
+                                              "load  z[idx]",
+                                              "store out[idx]"}));
+}
+
 TEST(PerfMode, BandwidthTableOrdering) {
   // Section 2's GTX 280 table: float2 slightly beats float; float4 is
   // slower than both.
