@@ -27,8 +27,10 @@ void BM_Transpose(benchmark::State &State, long long N, int Which,
                                                             : "SDK prev";
   for (auto _ : State) {
     KernelFunction *K = nullptr;
+    // Owns the winner's Module: it must outlive the measurement below.
+    CompileOutput Out;
     if (Which == 0) {
-      CompileOutput Out = compileBest(M, Dev, Algo::TP, N);
+      Out = compileBest(M, Dev, Algo::TP, N);
       K = Out.Best;
     } else if (Which == 1) {
       K = sdkTransposeNew(M, N);

@@ -27,6 +27,8 @@ void BM_Mv(benchmark::State &State, long long N, int Which) {
   double Ms = 0, Camping = 1;
   for (auto _ : State) {
     KernelFunction *K = nullptr;
+    // Owns the winner's Module: it must outlive the measurement below.
+    CompileOutput Out;
     if (Which == 0) {
       K = parseNaive(M, Algo::MV, N, D);
     } else if (Which == 3) {
@@ -39,7 +41,7 @@ void BM_Mv(benchmark::State &State, long long N, int Which) {
       CompileOptions Opt;
       Opt.Device = Dev;
       Opt.PartitionElim = Which == 2;
-      CompileOutput Out = GC.compile(*Naive, Opt);
+      Out = GC.compile(*Naive, Opt);
       K = Out.Best;
     }
     if (!K)
