@@ -107,6 +107,17 @@ struct LaunchConfig {
   }
   long long numBlocks() const { return GridDimX * GridDimY; }
   long long totalThreads() const { return threadsPerBlock() * numBlocks(); }
+
+  /// The (bidx, bidy) the kernel body sees in launched block \p BlockId
+  /// (row-major over the grid), after the remap.
+  void logicalBlock(long long BlockId, long long &BidX,
+                    long long &BidY) const {
+    BidX = BlockId % GridDimX;
+    BidY = BlockId / GridDimX;
+    if (!Remap.identity())
+      Remap.apply(BlockId % GridDimX, BlockId / GridDimX, GridDimX, GridDimY,
+                  BidX, BidY);
+  }
 };
 
 /// A kernel function. Owned by a Module; nodes live in the Module's

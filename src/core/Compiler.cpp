@@ -16,6 +16,7 @@
 #include "core/ThreadMerge.h"
 #include "core/Vectorize.h"
 #include "exec/ThreadPool.h"
+#include "sim/BlockMemo.h"
 #include "sim/SimCache.h"
 #include "support/StringUtils.h"
 #include "support/Timer.h"
@@ -290,6 +291,9 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
     KernelFunction *Kernel = nullptr;
     /// Slots whose kernels are copies of this slot's build.
     std::vector<size_t> Copies;
+    /// Per-block statistics shared by a build and its copies; null when
+    /// BlockMemo::appliesTo rejects the body.
+    std::shared_ptr<BlockMemo> Memo;
     /// The dataflow engine proved a violation (filled under StaticPrune).
     bool Violation = false;
     Occupancy Occ;
@@ -385,6 +389,8 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
     C.CompileWallMs = CompileTimer.elapsedMs();
     if (!C.Kernel)
       return;
+    if (BlockMemo::appliesTo(*C.Kernel))
+      C.Memo = std::make_shared<BlockMemo>();
     // Copies are taken before any simulation: the interpreter writes
     // annotations into the build's nodes. The dataflow engine ignores
     // the remap, so a copy inherits the build's verdict; its camping
@@ -399,6 +405,7 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
       R.Camp.AppliedDiagonal = installRemap(*R.Kernel, R.Layout) &&
                                R.Layout.K == LayoutPoint::Kind::Diagonal;
       R.Violation = C.Violation;
+      R.Memo = C.Memo;
       R.CompileWallMs = CopyTimer.elapsedMs();
       R.BuildWallMs = C.CompileWallMs;
     }
@@ -429,7 +436,7 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
     BufferSet Buffers;
     DiagnosticsEngine ProbeDiags;
     PerfResult LB = Sim.runPerformance(*C.Kernel, Buffers, ProbeDiags,
-                                       ProbeOpts);
+                                       ProbeOpts, C.Memo.get());
     C.SimWallMs += ProbeTimer.elapsedMs();
     C.Probed = true;
     if (LB.Valid)
@@ -458,7 +465,8 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
     WallTimer SimTimer;
     BufferSet Buffers;
     DiagnosticsEngine RunDiags;
-    C.Perf = Sim.runPerformance(*C.Kernel, Buffers, RunDiags, Opt.Perf);
+    C.Perf = Sim.runPerformance(*C.Kernel, Buffers, RunDiags, Opt.Perf,
+                                C.Memo.get());
     C.SimWallMs += SimTimer.elapsedMs();
     C.Simulated = true;
     if (!C.Perf.Valid)
@@ -590,6 +598,8 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
   Out.Search.CacheMisses = Cache->misses() - Misses0;
   Out.Search.DiskHits = Cache->diskHits() - DiskHits0;
   Out.Search.ScalarFallbacks = Sim.scalarFallbacks();
+  Out.Search.BlocksSimulated = Sim.blocksSimulated();
+  Out.Search.BlocksReused = Sim.blocksReused();
   Out.Search.WallMs = SearchWall.elapsedMs();
 
   // A cancelled search ran over a partial candidate set; its champion is
@@ -666,6 +676,8 @@ void addSearchStats(SearchStats &A, const SearchStats &B) {
   A.SimMs += B.SimMs;
   A.CritPathMs += B.CritPathMs;
   A.ScalarFallbacks += B.ScalarFallbacks;
+  A.BlocksSimulated += B.BlocksSimulated;
+  A.BlocksReused += B.BlocksReused;
   A.LayoutPoints += B.LayoutPoints;
   A.LayoutWins += B.LayoutWins;
 }

@@ -210,6 +210,13 @@ struct SearchStats {
   /// from the SimCache do not add to it. Excluded from SimStats/PerfResult
   /// so the scalar/vector bit-identity and cache contracts are untouched.
   uint64_t ScalarFallbacks = 0;
+  /// Blocks this search's performance runs (probes included) executed,
+  /// and blocks they took from their build's BlockMemo instead
+  /// (sim/BlockMemo.h). Exact at one lane; with more, two runs of one
+  /// body can both miss a block, so the split varies like the cache
+  /// counters. Runs answered from the SimCache add to neither.
+  uint64_t BlocksSimulated = 0;
+  uint64_t BlocksReused = 0;
   /// Kernel-fusion counters (multi-kernel pipelines; core/Fusion.h):
   /// producer/consumer pairs the legality analysis examined, how many it
   /// proved fusable vs. rejected, and whether the search's winner for the

@@ -90,6 +90,9 @@ std::string gpuc::searchStatsReport(const SearchStats &S) {
   OS << strFormat("  scalar fallbacks: %llu (vector-engine runs executed "
                   "on the scalar walk)\n",
                   static_cast<unsigned long long>(S.ScalarFallbacks));
+  OS << strFormat("  blocks: %llu simulated, %llu reused\n",
+                  static_cast<unsigned long long>(S.BlocksSimulated),
+                  static_cast<unsigned long long>(S.BlocksReused));
   if (S.FusionCandidates > 0)
     OS << strFormat("  fusion: %d pair(s) analyzed, %d legal, %d rejected, "
                     "%d win(s)\n",

@@ -1,0 +1,79 @@
+//===-- sim/BlockMemo.h - Per-block statistics memo -------------*- C++ -*-===//
+//
+// Part of the gpuc project: a reproduction of "A GPGPU Compiler for Memory
+// Optimization and Parallelism Management" (PLDI 2010).
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// A sampled performance run (Simulator::runPerformance) simulates a few
+/// clusters of consecutive blocks and sums their statistics. The layout
+/// search's pure block remaps run one kernel body under different block-id
+/// permutations — relabelings of one computation, as Bouverot-Dupuis &
+/// Sheeran put it — so their samples mostly land on logical blocks an
+/// earlier run of the same body already simulated. A BlockMemo keeps each
+/// simulated block's SimStats, keyed by its logical (remapped) block id and
+/// the loop-sampling settings, and later runs add the memoized statistics
+/// instead of simulating the block again.
+///
+/// Exactness: each block is simulated from zeroed shared memory and
+/// registers into a fresh SimStats, and every addend of a run's total is
+/// an integer or a dyadic fraction (loop extrapolation divides by
+/// LoopSampleCount: 4, or 2 in the probe profile). A memoized block
+/// therefore contributes exactly what simulating it would have, and the
+/// block-order sum is bit-identical with or without the memo.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef GPUC_SIM_BLOCKMEMO_H
+#define GPUC_SIM_BLOCKMEMO_H
+
+#include "ast/Kernel.h"
+#include "sim/Stats.h"
+
+#include <compare>
+#include <map>
+#include <mutex>
+
+namespace gpuc {
+
+/// Thread-safe per-block SimStats table for the performance runs of one
+/// kernel body (one build and its remap copies, for one search). The runs
+/// must share the device and run over empty BufferSets, so every array
+/// reads as zero and every scalar has its compile-time binding; the
+/// Simulator ignores the memo for any other run.
+class BlockMemo {
+public:
+  /// True when a block's statistics in such a run depend on nothing but
+  /// its logical block id and the loop-sampling settings. Either rule
+  /// suffices:
+  ///  (V) no value loaded from memory reaches a branch or loop condition,
+  ///      a loop bound or step, an array index or an integer divisor, so
+  ///      memory contents never steer what executes or where it accesses;
+  ///  (D) no global array is both read and written, so no block observes
+  ///      another block's (or another run's) stores.
+  static bool appliesTo(const KernelFunction &K);
+
+  /// A block's identity across the runs: the interpreter's loop-sampling
+  /// settings (the only run options a block's statistics depend on) and
+  /// the block id after the launch's remap.
+  struct Key {
+    int LoopSampleThreshold = 0;
+    int LoopSampleCount = 0;
+    long long BidX = 0, BidY = 0;
+    auto operator<=>(const Key &) const = default;
+  };
+
+  bool lookup(const Key &K, SimStats &Out) const;
+  /// The first insert of a key wins; lanes that both simulated the block
+  /// carry identical statistics.
+  void insert(const Key &K, const SimStats &S);
+
+private:
+  mutable std::mutex Mu;
+  std::map<Key, SimStats> Blocks;
+};
+
+} // namespace gpuc
+
+#endif // GPUC_SIM_BLOCKMEMO_H

@@ -12,6 +12,8 @@
 #include <cstring>
 #include <map>
 
+#include <sys/mman.h>
+
 using namespace gpuc;
 
 Interpreter::Interpreter(const DeviceSpec &Device, const KernelFunction &K,
@@ -19,7 +21,10 @@ Interpreter::Interpreter(const DeviceSpec &Device, const KernelFunction &K,
     : Dev(Device), K(K), Buffers(Buffers), Diags(Diags) {}
 
 // Out of line: ~unique_ptr<BcProgram> needs the complete type.
-Interpreter::~Interpreter() = default;
+Interpreter::~Interpreter() {
+  for (const auto &[Addr, Bytes] : ZeroMappings)
+    munmap(Addr, Bytes);
+}
 
 void Interpreter::reportOnce(const std::string &Message) {
   if (ReportedRuntimeError)
@@ -36,7 +41,44 @@ int Interpreter::slotFor(const std::string &Name) {
   return It->second;
 }
 
-bool Interpreter::prepare() {
+bool Interpreter::bindGlobal(const ParamDecl &P, UnboundArrays Unbound,
+                             GlobalArray &G) {
+  const long long Floats = P.elemCount() * P.ElemTy.vectorWidth();
+  if (Buffers.has(P.Name) || Unbound == UnboundArrays::InBufferSet) {
+    std::vector<float> &B =
+        Buffers.has(P.Name)
+            ? Buffers.data(P.Name)
+            : Buffers.alloc(P.Name, static_cast<size_t>(Floats));
+    G.Data = B.data();
+    G.Size = B.size();
+    if (static_cast<long long>(G.Size) >= Floats)
+      return true;
+    Diags.error(SourceLocation(),
+                strFormat("buffer '%s' has %zu floats, kernel needs %lld",
+                          P.Name.c_str(), G.Size, Floats));
+    return false;
+  }
+  // A private anonymous mapping reads as zero and takes memory only for
+  // the pages a store touches. Heap zeroing (calloc) would not do: once
+  // the allocator's mmap threshold adapts, it serves the next large block
+  // from the heap and memsets every page.
+  const size_t Bytes =
+      std::max<size_t>(static_cast<size_t>(Floats), 1) * sizeof(float);
+  void *Addr = mmap(nullptr, Bytes, PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (Addr == MAP_FAILED) {
+    Diags.error(SourceLocation(),
+                strFormat("cannot map %zu bytes for buffer '%s'", Bytes,
+                          P.Name.c_str()));
+    return false;
+  }
+  ZeroMappings.emplace_back(Addr, Bytes);
+  G.Data = static_cast<float *>(Addr);
+  G.Size = static_cast<size_t>(Floats);
+  return true;
+}
+
+bool Interpreter::prepare(UnboundArrays Unbound) {
   Prepared = true;
   // Bind scalar arguments (runtime value wins over compile-time binding).
   ScalarArgs.assign(K.params().size(), 0);
@@ -51,14 +93,7 @@ bool Interpreter::prepare() {
       continue;
     }
     GlobalArray G;
-    long long Floats = P.elemCount() * P.ElemTy.vectorWidth();
-    if (!Buffers.has(P.Name))
-      Buffers.alloc(P.Name, static_cast<size_t>(Floats));
-    G.Data = &Buffers.data(P.Name);
-    if (static_cast<long long>(G.Data->size()) < Floats) {
-      Diags.error(SourceLocation(),
-                  strFormat("buffer '%s' has %zu floats, kernel needs %lld",
-                            P.Name.c_str(), G.Data->size(), Floats));
+    if (!bindGlobal(P, Unbound, G)) {
       Failed = true;
       return false;
     }
@@ -200,13 +235,10 @@ std::vector<uint8_t> &Interpreter::acquireMask() {
 
 void Interpreter::bindBlock(long long BlockId, long long ThreadBase) {
   const LaunchConfig &L = K.launch();
-  long long RawBidX = BlockId % L.GridDimX;
-  long long RawBidY = BlockId / L.GridDimX;
   // Affine block-id permutation (identity by default; Section 3.7's
   // diagonal reordering and the generalized family of core/AffineLayout).
-  long long EBidX = RawBidX, EBidY = RawBidY;
-  if (!L.Remap.identity())
-    L.Remap.apply(RawBidX, RawBidY, L.GridDimX, L.GridDimY, EBidX, EBidY);
+  long long EBidX = 0, EBidY = 0;
+  L.logicalBlock(BlockId, EBidX, EBidY);
   for (long long T = 0; T < L.threadsPerBlock(); ++T) {
     long long G = ThreadBase + T;
     TidX[G] = static_cast<int>(T % L.BlockDimX);
@@ -706,7 +738,7 @@ Interpreter::Value Interpreter::loadArray(const ArrayRef *A, long long T,
   if (Collect && Opt->MM)
     Opt->MM->recordGlobal(A, T, G.BaseAddr + FloatOff * 4, AccessLanes * 4,
                           /*IsStore=*/false);
-  const float *P = &(*G.Data)[static_cast<size_t>(FloatOff)];
+  const float *P = &G.Data[static_cast<size_t>(FloatOff)];
   V.F0 = P[0];
   if (AccessLanes > 1)
     V.F1 = P[1];
@@ -769,7 +801,7 @@ void Interpreter::storeArray(const ArrayRef *A, long long T, const Value &V) {
   if (Collect && Opt->MM)
     Opt->MM->recordGlobal(A, T, G.BaseAddr + FloatOff * 4, AccessLanes * 4,
                           /*IsStore=*/true);
-  float *P = &(*G.Data)[static_cast<size_t>(FloatOff)];
+  float *P = &G.Data[static_cast<size_t>(FloatOff)];
   P[0] = V.F0;
   if (AccessLanes > 1)
     P[1] = V.F1;

@@ -105,16 +105,34 @@ struct InterpOptions {
   InterpBackend Backend = InterpBackend::Vector;
 };
 
+/// Where Interpreter::prepare binds an array parameter the caller's
+/// BufferSet does not hold. Arrays the caller did bind are used in place
+/// either way.
+enum class UnboundArrays : uint8_t {
+  /// Allocated zero-filled in the BufferSet, where the caller reads the
+  /// outputs (functional runs).
+  InBufferSet,
+  /// Anonymous zero pages the interpreter owns and unmaps when destroyed:
+  /// only the pages a run touches are ever faulted in, and untouched ones
+  /// read as zero (sampled performance runs, whose buffer contents nobody
+  /// reads).
+  LazyZeroPages,
+};
+
 /// Interprets one kernel against one buffer set.
 class Interpreter {
 public:
   Interpreter(const DeviceSpec &Device, const KernelFunction &K,
               BufferSet &Buffers, DiagnosticsEngine &Diags);
+  /// Unmaps the lazy zero pages.
   ~Interpreter();
+  Interpreter(const Interpreter &) = delete;
+  Interpreter &operator=(const Interpreter &) = delete;
 
-  /// Resolves names, assigns device addresses and shared offsets.
+  /// Resolves names, assigns device addresses and shared offsets, and
+  /// binds every array parameter (\p Unbound says where unbound ones go).
   /// \returns false on binding errors (missing buffers, size mismatches).
-  bool prepare();
+  bool prepare(UnboundArrays Unbound = UnboundArrays::InBufferSet);
 
   /// Runs blocks [Begin, End) one at a time.
   void runBlocks(long long Begin, long long End, const InterpOptions &Opt);
@@ -141,7 +159,8 @@ private:
   };
 
   struct GlobalArray {
-    std::vector<float> *Data = nullptr;
+    float *Data = nullptr;
+    size_t Size = 0; // floats at Data
     long long BaseAddr = 0;
     std::vector<long long> Strides; // element-unit strides per dimension
     long long ElemCount = 0;
@@ -156,6 +175,7 @@ private:
   };
 
   // Resolution.
+  bool bindGlobal(const ParamDecl &P, UnboundArrays Unbound, GlobalArray &G);
   void resolveStmt(Stmt *S);
   void resolveExprTree(Expr *E);
   int slotFor(const std::string &Name);
@@ -218,6 +238,9 @@ private:
   DiagnosticsEngine &Diags;
 
   // Resolved state.
+  /// UnboundArrays::LazyZeroPages mappings (address, bytes), unmapped by
+  /// the destructor.
+  std::vector<std::pair<void *, size_t>> ZeroMappings;
   std::unordered_map<std::string, int> SlotByName;
   int NumSlots = 0;
   std::vector<GlobalArray> Globals;

@@ -37,6 +37,8 @@ public:
   }
 
   bool has(const std::string &Name) const { return Buffers.count(Name) > 0; }
+  /// True when no array and no scalar is bound.
+  bool empty() const { return Buffers.empty() && Scalars.empty(); }
 
   std::vector<float> &data(const std::string &Name) {
     auto It = Buffers.find(Name);

@@ -4,6 +4,7 @@
 
 #include "ast/Printer.h"
 #include "ast/Walk.h"
+#include "sim/BlockMemo.h"
 #include "sim/SimCache.h"
 
 #include <algorithm>
@@ -54,7 +55,8 @@ bool Simulator::runPipelineFunctional(
 PerfResult Simulator::runPerformance(const KernelFunction &K,
                                      BufferSet &Buffers,
                                      DiagnosticsEngine &Diags,
-                                     const PerfOptions &Options) const {
+                                     const PerfOptions &Options,
+                                     BlockMemo *Memo) const {
   uint64_t Key = 0;
   if (Cache) {
     Key = simCacheKey(K, Dev, Options);
@@ -71,8 +73,12 @@ PerfResult Simulator::runPerformance(const KernelFunction &K,
     return R;
   }
 
+  // A memoized block carries no per-site traffic, and it ran on zero
+  // arrays and compile-time scalars.
+  if (Options.TrackSites || !Buffers.empty())
+    Memo = nullptr;
   Interpreter Interp(Dev, K, Buffers, Diags);
-  if (!Interp.prepare())
+  if (!Interp.prepare(UnboundArrays::LazyZeroPages))
     return R;
 
   SimStats Sampled;
@@ -81,7 +87,6 @@ PerfResult Simulator::runPerformance(const KernelFunction &K,
     MM.enableSiteTracking();
   InterpOptions Opt;
   Opt.CollectStats = true;
-  Opt.Stats = &Sampled;
   Opt.MM = &MM;
   Opt.Backend = Backend;
   // Loop sampling extrapolates aggregate statistics but not the per-site
@@ -115,7 +120,10 @@ PerfResult Simulator::runPerformance(const KernelFunction &K,
   }
   long long PerCluster = std::min<long long>(NumBlocks, ClusterBudget);
   // Clusters of consecutive block ids spread over the grid; consecutive
-  // ids co-reside, which is what the partition model needs to see.
+  // ids co-reside, which is what the partition model needs to see. Each
+  // block runs on its own (from zeroed shared memory and registers) into
+  // a fresh SimStats that is then added to the total in block order, so a
+  // memoized block adds exactly what running it would have.
   long long SampledBlocks = 0;
   long long Stride = NumBlocks / Clusters;
   for (int C = 0; C < Clusters; ++C) {
@@ -124,7 +132,21 @@ PerfResult Simulator::runPerformance(const KernelFunction &K,
     long long End = std::min<long long>(Begin + PerCluster, NumBlocks);
     if (C > 0 && Begin == 0)
       break; // grid smaller than cluster layout
-    Interp.runBlocks(Begin, End, Opt);
+    for (long long B = Begin; B < End && Interp.ok(); ++B) {
+      BlockMemo::Key Id{Opt.LoopSampleThreshold, Opt.LoopSampleCount};
+      K.launch().logicalBlock(B, Id.BidX, Id.BidY);
+      SimStats Block;
+      if (Memo && Memo->lookup(Id, Block)) {
+        BlocksReused.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        Opt.Stats = &Block;
+        Interp.runBlocks(B, B + 1, Opt);
+        BlocksSimulated.fetch_add(1, std::memory_order_relaxed);
+        if (Memo && Interp.ok())
+          Memo->insert(Id, Block);
+      }
+      Sampled.add(Block);
+    }
     SampledBlocks += End - Begin;
     if (End >= NumBlocks)
       break;

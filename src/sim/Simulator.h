@@ -87,6 +87,7 @@ struct PerfResult {
   }
 };
 
+class BlockMemo;
 class SimCache;
 
 /// Runs kernels on a modeled device. The run methods are const: a single
@@ -130,18 +131,36 @@ public:
                              RaceLog *Races = nullptr) const;
 
   /// Samples block clusters, extrapolates statistics to the whole grid and
-  /// estimates the kernel time. Buffer contents after the call are not
-  /// meaningful. With a cache attached, a structurally identical (kernel,
-  /// device, options) run returns the memoized result without executing.
+  /// estimates the kernel time. Blocks run one at a time, each from zeroed
+  /// shared memory and registers. Arrays bound in \p Buffers are used in
+  /// place (their contents afterwards are not meaningful); unbound arrays
+  /// get lazily zeroed pages the run owns, so they never land in
+  /// \p Buffers and only the pages the sampled blocks touch cost memory.
+  /// With a cache attached, a structurally identical (kernel, device,
+  /// options) run returns the memoized result without executing. With a
+  /// \p Memo (sim/BlockMemo.h) and an empty \p Buffers, blocks an earlier
+  /// run of the same body simulated are added from the memo instead of
+  /// executed; the result is bit-identical either way. Site-tracking runs
+  /// ignore the memo.
   PerfResult runPerformance(const KernelFunction &K, BufferSet &Buffers,
                             DiagnosticsEngine &Diags,
-                            const PerfOptions &Options = PerfOptions()) const;
+                            const PerfOptions &Options = PerfOptions(),
+                            BlockMemo *Memo = nullptr) const;
 
   /// Interpreter executions through this Simulator that requested the
   /// vector engine but fell back to the scalar walk. Cache hits skip the
   /// engine entirely and do not count. Thread-safe like the run methods.
   uint64_t scalarFallbacks() const {
     return Fallbacks.load(std::memory_order_relaxed);
+  }
+
+  /// Blocks performance runs through this Simulator executed, and blocks a
+  /// BlockMemo supplied instead. Thread-safe like the run methods.
+  uint64_t blocksSimulated() const {
+    return BlocksSimulated.load(std::memory_order_relaxed);
+  }
+  uint64_t blocksReused() const {
+    return BlocksReused.load(std::memory_order_relaxed);
   }
 
 private:
@@ -154,6 +173,8 @@ private:
   SimCache *Cache = nullptr;
   InterpBackend Backend = InterpBackend::Vector;
   mutable std::atomic<uint64_t> Fallbacks{0};
+  mutable std::atomic<uint64_t> BlocksSimulated{0};
+  mutable std::atomic<uint64_t> BlocksReused{0};
 };
 
 } // namespace gpuc

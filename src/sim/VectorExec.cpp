@@ -512,7 +512,7 @@ void VectorExec::execLoad(const BcAccess &AC, const uint8_t *M) {
   const Interpreter::GlobalArray &G =
       In.Globals[static_cast<size_t>(AC.ArrayIdx)];
   const long long TotalFloats = G.ElemCount * G.ElemLanes;
-  const float *Data = G.Data->data();
+  const float *Data = G.Data;
   std::vector<MemoryModel::Access> *Sink = nullptr;
   for (long long T = 0; T < N; ++T) {
     if (!M[T])
@@ -598,7 +598,7 @@ void VectorExec::execStore(const BcAccess &AC, const uint8_t *M) {
   const Interpreter::GlobalArray &G =
       In.Globals[static_cast<size_t>(AC.ArrayIdx)];
   const long long TotalFloats = G.ElemCount * G.ElemLanes;
-  float *Data = G.Data->data();
+  float *Data = G.Data;
   std::vector<MemoryModel::Access> *Sink = nullptr;
   for (long long T = 0; T < N; ++T) {
     if (!M[T])

@@ -1,0 +1,389 @@
+//===-- tests/BlockMemoTest.cpp - per-block memo and lazy binding ---------===//
+//
+// Performance runs add each sampled block's statistics from a per-build
+// memo when an earlier run of the same body already simulated that logical
+// block (sim/BlockMemo.h), and bind unbound arrays to lazily zeroed pages.
+// Neither may change a single bit of any PerfResult: every test here
+// compares against runs on a fresh Simulator with no memo and no cache.
+//
+//===----------------------------------------------------------------------===//
+
+#include "ast/Printer.h"
+#include "baselines/NaiveKernels.h"
+#include "cache/Serialize.h"
+#include "core/Compiler.h"
+#include "fuzz/KernelGen.h"
+#include "parser/Parser.h"
+#include "sim/BlockMemo.h"
+#include "support/StringUtils.h"
+
+#include <gtest/gtest.h>
+
+#include <tuple>
+
+using namespace gpuc;
+
+namespace {
+
+std::string encoded(const PerfResult &R) {
+  ByteWriter W;
+  encodePerfResult(W, R);
+  return W.buffer();
+}
+
+KernelFunction *parseOne(Module &M, const std::string &Source) {
+  DiagnosticsEngine D;
+  Parser P(Source, D);
+  KernelFunction *K = P.parseKernel(M);
+  EXPECT_NE(K, nullptr) << D.str();
+  return K;
+}
+
+/// Searches \p Naive, then re-runs every variant the search measured (and,
+/// for a pruned search, every probe) on a fresh Simulator without memo or
+/// cache. Every PerfResult must match bit for bit.
+SearchStats expectMemoTransparent(Module &M, const KernelFunction &Naive,
+                                  const CompileOptions &Opt,
+                                  const std::string &Label) {
+  DiagnosticsEngine D;
+  GpuCompiler GC(M, D);
+  CompileOutput Out = GC.compile(Naive, Opt);
+  EXPECT_NE(Out.Best, nullptr) << Label << "\n" << D.str() << Out.Log;
+  Simulator Fresh(Opt.Device);
+  Fresh.setInterpBackend(Opt.Interp);
+  int Compared = 0;
+  for (const VariantResult &V : Out.Variants) {
+    if (!V.Kernel || V.LimitedBy || V.StaticallyPruned)
+      continue;
+    const std::string Where = strFormat("%s %s b%d t%d", Label.c_str(),
+                                        V.Layout, V.BlockMergeN,
+                                        V.ThreadMergeM);
+    if (V.LowerBoundMs > 0) {
+      BufferSet B;
+      DiagnosticsEngine RD;
+      PerfResult Probe = Fresh.runPerformance(
+          *V.Kernel, B, RD, PerfOptions::lowerBoundProbe());
+      EXPECT_EQ(V.LowerBoundMs, Probe.TimeMs * 0.75) << Where;
+    }
+    if (V.Pruned)
+      continue;
+    BufferSet B;
+    DiagnosticsEngine RD;
+    PerfResult Want = Fresh.runPerformance(*V.Kernel, B, RD, Opt.Perf);
+    EXPECT_EQ(encoded(V.Perf), encoded(Want))
+        << Where << ": " << V.Perf.TimeMs << " ms vs " << Want.TimeMs;
+    ++Compared;
+  }
+  EXPECT_GT(Compared, 0) << Label;
+  return Out.Search;
+}
+
+//===----------------------------------------------------------------------===//
+// Memo vs no memo on the ten Table-1 kernels, every candidate simulated.
+//===----------------------------------------------------------------------===//
+
+/// Sizes at which every camping-prone kernel enumerates the layout family:
+/// Figure-11 sizes for the vector engine, smaller ones for the scalar walk.
+long long memoTestSize(Algo A, InterpBackend Engine) {
+  const bool Scalar = Engine == InterpBackend::Scalar;
+  switch (A) {
+  case Algo::MM:
+    return Scalar ? 512 : 1024;
+  case Algo::STRSM:
+    return Scalar ? 64 : 512;
+  case Algo::VV:
+    return Scalar ? 1LL << 18 : 1LL << 20;
+  case Algo::RD:
+    return Scalar ? 1LL << 19 : 1LL << 21;
+  default:
+    return Scalar ? 512 : 1024;
+  }
+}
+
+using MemoCase = std::tuple<Algo, bool /*Gtx280*/, InterpBackend>;
+
+class MemoTransparency : public ::testing::TestWithParam<MemoCase> {};
+
+TEST_P(MemoTransparency, ExhaustiveSearchMatchesFreshRuns) {
+  const auto [A, Gtx280, Engine] = GetParam();
+  const long long N = memoTestSize(A, Engine);
+  Module M;
+  DiagnosticsEngine D;
+  KernelFunction *Naive = parseNaive(M, A, N, D);
+  ASSERT_NE(Naive, nullptr) << D.str();
+  CompileOptions Opt;
+  Opt.Device = Gtx280 ? DeviceSpec::gtx280() : DeviceSpec::gtx8800();
+  Opt.Interp = Engine;
+  Opt.ExhaustiveSearch = true;
+  Opt.Jobs = 1;
+  SearchStats S = expectMemoTransparent(
+      M, *Naive, Opt, strFormat("%s-%lld", algoInfo(A).Name, N));
+  EXPECT_GT(S.LayoutPoints, 1);
+  EXPECT_GT(S.BlocksSimulated, 0u);
+  // Every Table-1 body is memo-eligible, so some remap point lands on
+  // blocks its build already simulated.
+  EXPECT_GT(S.BlocksReused, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Table1, MemoTransparency,
+    ::testing::Combine(::testing::ValuesIn(table1Algos()),
+                       ::testing::Bool(),
+                       ::testing::Values(InterpBackend::Vector,
+                                         InterpBackend::Scalar)),
+    [](const ::testing::TestParamInfo<MemoCase> &Info) {
+      const bool Scalar = std::get<2>(Info.param) == InterpBackend::Scalar;
+      return strFormat("%s_%s_%s", algoInfo(std::get<0>(Info.param)).Name,
+                       std::get<1>(Info.param) ? "gtx280" : "gtx8800",
+                       Scalar ? "scalar" : "vector");
+    });
+
+TEST(MemoTransparencySearch, PrunedSearchProbesAndRunsMatchFreshRuns) {
+  for (Algo A : {Algo::MM, Algo::TP, Algo::RD}) {
+    Module M;
+    DiagnosticsEngine D;
+    const long long N = memoTestSize(A, InterpBackend::Vector);
+    KernelFunction *Naive = parseNaive(M, A, N, D);
+    ASSERT_NE(Naive, nullptr) << D.str();
+    CompileOptions Opt;
+    Opt.Jobs = 1;
+    expectMemoTransparent(M, *Naive, Opt, algoInfo(A).Name);
+  }
+}
+
+TEST(MemoTransparencySearch, LayoutFuzzWindow) {
+  int Searched = 0;
+  for (unsigned Seed = 0; Seed < 40; ++Seed) {
+    GeneratedKernel GK = KernelGen(Seed).generate();
+    Module M;
+    KernelFunction *Naive = parseOne(M, GK.Source);
+    ASSERT_NE(Naive, nullptr) << GK.Source;
+    for (InterpBackend Engine :
+         {InterpBackend::Vector, InterpBackend::Scalar}) {
+      CompileOptions Opt;
+      Opt.Interp = Engine;
+      Opt.ExhaustiveSearch = true;
+      Opt.Jobs = 1;
+      expectMemoTransparent(M, *Naive, Opt,
+                            strFormat("seed %u (%s)", Seed,
+                                      GK.Shape.c_str()));
+    }
+    ++Searched;
+  }
+  EXPECT_EQ(Searched, 40);
+}
+
+//===----------------------------------------------------------------------===//
+// Eligibility and the whole-run fallback.
+//===----------------------------------------------------------------------===//
+
+TEST(BlockMemoEligibility, EveryTable1BodyQualifies) {
+  for (Algo A : table1Algos()) {
+    Module M;
+    DiagnosticsEngine D;
+    KernelFunction *Naive = parseNaive(M, A, 256, D);
+    ASSERT_NE(Naive, nullptr) << D.str();
+    EXPECT_TRUE(BlockMemo::appliesTo(*Naive)) << algoInfo(A).Name;
+    GpuCompiler GC(M, D);
+    CompileOptions Opt;
+    Opt.Jobs = 1;
+    CompileOutput Out = GC.compile(*Naive, Opt);
+    ASSERT_NE(Out.Best, nullptr) << algoInfo(A).Name;
+    EXPECT_TRUE(BlockMemo::appliesTo(*Out.Best)) << printKernel(*Out.Best);
+  }
+}
+
+TEST(BlockMemoEligibility, RulesAdmitDataUsesAndRejectSteeringLoads) {
+  Module M;
+  // Branch on a loaded value, but the array is never written (rule D).
+  KernelFunction *Branch = parseOne(M, "#pragma gpuc output(b)\n"
+                                       "__global__ void k(float a[256], "
+                                       "float b[256]) {\n"
+                                       "  if (a[idx] > 0.5) {\n"
+                                       "    b[idx] = 1;\n"
+                                       "  }\n"
+                                       "}\n");
+  // Loaded values only flow into stored data (rule V), though the array
+  // is read and written.
+  KernelFunction *Update = parseOne(M, "#pragma gpuc output(a)\n"
+                                       "__global__ void k(float a[256]) {\n"
+                                       "  float v = a[idx];\n"
+                                       "  a[idx] = v * 2;\n"
+                                       "}\n");
+  // A loaded index into an array the kernel also writes breaks both.
+  KernelFunction *Scatter = parseOne(M, "#pragma gpuc output(a)\n"
+                                        "__global__ void k(float a[256], "
+                                        "float c[256]) {\n"
+                                        "  int j = c[idx];\n"
+                                        "  a[j] += 1;\n"
+                                        "}\n");
+  // So does a loop bound read from memory the kernel writes.
+  KernelFunction *Bound = parseOne(M, "#pragma gpuc output(a)\n"
+                                      "__global__ void k(float a[256]) {\n"
+                                      "  int n = a[0];\n"
+                                      "  for (int i = 0; i < n; i++) {\n"
+                                      "    a[idx] = a[idx] + 1;\n"
+                                      "  }\n"
+                                      "}\n");
+  ASSERT_TRUE(Branch && Update && Scatter && Bound);
+  EXPECT_TRUE(BlockMemo::appliesTo(*Branch));
+  EXPECT_TRUE(BlockMemo::appliesTo(*Update));
+  EXPECT_FALSE(BlockMemo::appliesTo(*Scatter));
+  EXPECT_FALSE(BlockMemo::appliesTo(*Bound));
+}
+
+/// A value-dependent branch on an array the kernel also writes: a block's
+/// statistics depend on what earlier blocks of the same run stored, so
+/// the search must take the whole-run path.
+const char *const FeedbackKernel =
+    "#pragma gpuc output(a)\n"
+    "__global__ void feedback(float a[1024][1024], float b[1024][1024]) {\n"
+    "  if (a[idy][idx] > 0.5) {\n"
+    "    a[idy][idx] = b[idx][idy];\n"
+    "  }\n"
+    "  a[(idy + 1) % 1024][idx] = 1;\n"
+    "}\n";
+
+TEST(BlockMemoFallback, ValueDependentBranchOnWrittenArrayRunsWhole) {
+  Module M;
+  KernelFunction *Naive = parseOne(M, FeedbackKernel);
+  ASSERT_NE(Naive, nullptr);
+  EXPECT_FALSE(BlockMemo::appliesTo(*Naive));
+  CompileOptions Opt;
+  Opt.ExhaustiveSearch = true;
+  Opt.Jobs = 1;
+  SearchStats S = expectMemoTransparent(M, *Naive, Opt, "feedback");
+  EXPECT_GT(S.LayoutPoints, 1) << "the family must be enumerated";
+  EXPECT_GT(S.BlocksSimulated, 0u);
+  EXPECT_EQ(S.BlocksReused, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Binding: unbound arrays never land in the caller's BufferSet; bound ones
+// are used in place.
+//===----------------------------------------------------------------------===//
+
+const char *const GuardedCopy = "#pragma gpuc output(b)\n"
+                                "__global__ void k(float a[64][64], "
+                                "float b[64][64]) {\n"
+                                "  if (a[idy][idx] > 0.5) {\n"
+                                "    b[idy][idx] = a[idy][idx] * 2;\n"
+                                "  }\n"
+                                "}\n";
+
+TEST(PerfBinding, EmptyBufferSetStaysEmpty) {
+  Module M;
+  KernelFunction *K = parseOne(M, GuardedCopy);
+  ASSERT_NE(K, nullptr);
+  Simulator Sim(DeviceSpec::gtx280());
+  BufferSet B;
+  DiagnosticsEngine D;
+  PerfResult R = Sim.runPerformance(*K, B, D);
+  ASSERT_TRUE(R.Valid) << D.str();
+  EXPECT_TRUE(B.empty());
+  // Zero inputs: the guard never holds, so nothing is stored.
+  EXPECT_EQ(R.Stats.GlobalStoreHalfWarps, 0);
+}
+
+TEST(PerfBinding, BoundInputsAreReadInPlace) {
+  Module M;
+  KernelFunction *K = parseOne(M, GuardedCopy);
+  ASSERT_NE(K, nullptr);
+  const DeviceSpec Dev = DeviceSpec::gtx280();
+  const long long NumBlocks = K->launch().numBlocks();
+  // One cluster covers the whole grid, so the sampled statistics are the
+  // plain whole-grid run's.
+  PerfOptions Whole;
+  Whole.SampleClusters = 1;
+  Whole.BlocksPerCluster = static_cast<int>(NumBlocks);
+  Whole.WorkPerBlockRef = 0;
+
+  BufferSet B;
+  B.alloc("a", 64 * 64);
+  for (float &X : B.data("a"))
+    X = 1.0f;
+  B.alloc("b", 64 * 64);
+  Simulator Sim(Dev);
+  DiagnosticsEngine D;
+  PerfResult R = Sim.runPerformance(*K, B, D, Whole);
+  ASSERT_TRUE(R.Valid) << D.str();
+  // The run stored through the caller's own buffer.
+  for (float X : B.data("b"))
+    ASSERT_EQ(X, 2.0f);
+
+  // The same grid through the interpreter in one pass, as a performance
+  // run executed it before blocks ran one at a time.
+  BufferSet Ref;
+  Ref.alloc("a", 64 * 64);
+  for (float &X : Ref.data("a"))
+    X = 1.0f;
+  Interpreter Interp(Dev, *K, Ref, D);
+  ASSERT_TRUE(Interp.prepare());
+  SimStats Stats;
+  MemoryModel MM(Dev);
+  InterpOptions IO;
+  IO.CollectStats = true;
+  IO.Stats = &Stats;
+  IO.MM = &MM;
+  IO.LoopSampleThreshold = Whole.LoopSampleThreshold;
+  IO.LoopSampleCount = Whole.LoopSampleCount;
+  Interp.runBlocks(0, NumBlocks, IO);
+  ASSERT_TRUE(Interp.ok()) << D.str();
+  PerfResult Want;
+  Want.Valid = true;
+  Want.Stats = Stats;
+  Want.Occ = computeOccupancy(Dev, *K);
+  Want.Timing = estimateTime(Dev, Want.Stats, Want.Occ, NumBlocks);
+  Want.TimeMs = Want.Timing.TotalMs;
+  EXPECT_GT(Want.Stats.GlobalStoreHalfWarps, 0);
+  EXPECT_EQ(encoded(R), encoded(Want));
+}
+
+//===----------------------------------------------------------------------===//
+// Reuse is real, and safe across lanes.
+//===----------------------------------------------------------------------===//
+
+TEST(BlockMemoReuse, SerialMm1024CountsArePinned) {
+  Module M;
+  DiagnosticsEngine D;
+  KernelFunction *Naive = parseNaive(M, Algo::MM, 1024, D);
+  ASSERT_NE(Naive, nullptr) << D.str();
+  GpuCompiler GC(M, D);
+  CompileOptions Opt;
+  Opt.Jobs = 1;
+  CompileOutput Out = GC.compile(*Naive, Opt);
+  ASSERT_NE(Out.Best, nullptr) << D.str() << Out.Log;
+  EXPECT_EQ(Out.Search.LayoutPoints, 4);
+  EXPECT_EQ(Out.Search.BlocksSimulated, 130u);
+  EXPECT_EQ(Out.Search.BlocksReused, 142u);
+}
+
+TEST(BlockMemoReuse, ParallelLanesShareTheMemoExactly) {
+  for (auto [A, N] : {std::pair(Algo::MM, 128), std::pair(Algo::STRSM, 64),
+                      std::pair(Algo::TP, 256)}) {
+    auto Search = [&](int Jobs) {
+      Module M;
+      DiagnosticsEngine D;
+      KernelFunction *Naive = parseNaive(M, A, N, D);
+      EXPECT_NE(Naive, nullptr) << D.str();
+      GpuCompiler GC(M, D);
+      CompileOptions Opt;
+      Opt.Jobs = Jobs;
+      Opt.ExhaustiveSearch = true;
+      CompileOutput Out = GC.compile(*Naive, Opt);
+      std::vector<std::string> Results;
+      for (const VariantResult &V : Out.Variants)
+        Results.push_back(encoded(V.Perf));
+      if (Out.Best)
+        Results.push_back(printKernel(*Out.Best));
+      return std::make_pair(Results, Out.Search);
+    };
+    const auto [Serial, SerialStats] = Search(1);
+    const auto [Parallel, ParallelStats] = Search(4);
+    EXPECT_EQ(ParallelStats.Jobs, 4);
+    EXPECT_GT(SerialStats.BlocksReused, 0u) << algoInfo(A).Name;
+    EXPECT_EQ(Serial, Parallel) << algoInfo(A).Name;
+  }
+}
+
+} // namespace
