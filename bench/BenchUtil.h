@@ -9,8 +9,8 @@
 /// Common plumbing for the per-figure benchmark binaries: compiling a
 /// naive kernel to its design-space best, measuring simulated kernel
 /// times, and accumulating a printable table that mirrors the paper's
-/// figure. Each binary is a google-benchmark executable whose counters
-/// carry the simulated metrics; the paper-style table prints at exit.
+/// figure. Each binary is a plain program: main runs every case once, in
+/// order, and Report::finish prints the table and writes the JSON.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,10 +23,7 @@
 #include "sim/SimCache.h"
 #include "support/StringUtils.h"
 
-#include <benchmark/benchmark.h>
-
 #include <cmath>
-
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -42,7 +39,7 @@ struct Row {
   std::vector<std::pair<std::string, double>> Values;
 };
 
-/// Collects rows during benchmark runs, prints a table at program exit.
+/// Collects rows while the cases run; finish() prints them.
 class Report {
 public:
   static Report &get() {
@@ -131,6 +128,14 @@ public:
     return "BENCH_" + Base + ".json";
   }
 
+  /// Prints the table, writes BENCH_<name>.json for the binary \p Argv0
+  /// and \returns \p Code, the binary's exit status.
+  int finish(const char *Argv0, int Code = 0) const {
+    print();
+    writeJson(jsonPathFor(Argv0));
+    return Code;
+  }
+
 private:
   static std::string jsonStr(const std::string &S) {
     std::string Out = "\"";
@@ -204,18 +209,6 @@ inline double geomean(const std::vector<double> &Xs) {
     LogSum += std::log(X);
   return std::exp(LogSum / static_cast<double>(Xs.size()));
 }
-
-/// Standard main: run benchmarks once each, print the figure table and
-/// write the machine-readable BENCH_<name>.json next to it.
-#define GPUC_BENCH_MAIN()                                                    \
-  int main(int argc, char **argv) {                                         \
-    ::benchmark::Initialize(&argc, argv);                                    \
-    ::benchmark::RunSpecifiedBenchmarks();                                   \
-    ::gpuc::bench::Report::get().print();                                    \
-    ::gpuc::bench::Report::get().writeJson(                                  \
-        ::gpuc::bench::Report::jsonPathFor(argv[0]));                        \
-    return 0;                                                                \
-  }
 
 } // namespace bench
 } // namespace gpuc

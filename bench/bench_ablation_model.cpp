@@ -16,7 +16,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "core/PartitionCamp.h"
 
 using namespace gpuc;
 using namespace gpuc::bench;
@@ -25,21 +24,18 @@ namespace {
 
 // --- A1: relaxed coalescer --------------------------------------------
 
-void BM_RelaxedCoalescer(benchmark::State &State, bool Relaxed) {
+void runRelaxedCoalescer(bool Relaxed) {
   DeviceSpec Dev = DeviceSpec::gtx280();
   Dev.RelaxedCoalescing = Relaxed;
   Module M;
   double Speedup = 0;
-  for (auto _ : State) {
-    PerfResult Naive = measureNaive(M, Dev, Algo::MM, 1024);
-    CompileOutput Best = compileBest(M, Dev, Algo::MM, 1024);
-    if (Naive.Valid && Best.Best) {
-      PerfResult Opt = measure(Dev, *Best.Best);
-      if (Opt.Valid)
-        Speedup = Naive.TimeMs / Opt.TimeMs;
-    }
+  PerfResult Naive = measureNaive(M, Dev, Algo::MM, 1024);
+  CompileOutput Best = compileBest(M, Dev, Algo::MM, 1024);
+  if (Naive.Valid && Best.Best) {
+    PerfResult Opt = measure(Dev, *Best.Best);
+    if (Opt.Valid)
+      Speedup = Naive.TimeMs / Opt.TimeMs;
   }
-  State.counters["speedup"] = Speedup;
   Report::get().add(strFormat("A1 mm GTX280 relaxed-coalescer=%s",
                               Relaxed ? "on " : "off"),
                     {{"speedup_x", Speedup}});
@@ -47,97 +43,76 @@ void BM_RelaxedCoalescer(benchmark::State &State, bool Relaxed) {
 
 // --- A2: naive launch width -------------------------------------------
 
-void BM_NaiveWidth(benchmark::State &State, int BlockX) {
+/// Speedup of the search winner over naive vv launched \p BlockX wide; 0
+/// when a step fails.
+double naiveWidthSpeedup(int BlockX) {
   DeviceSpec Dev = DeviceSpec::gtx280();
   Module M;
   DiagnosticsEngine D;
-  double Speedup = 0;
-  for (auto _ : State) {
-    KernelFunction *Naive = parseNaive(M, Algo::VV, 1 << 20, D);
-    if (!Naive)
-      continue;
-    Naive->launch().BlockDimX = BlockX;
-    Naive->launch().GridDimX = Naive->workDomainX() / BlockX;
-    PerfResult RN = measure(Dev, *Naive);
-    GpuCompiler GC(M, D);
-    CompileOptions Opt;
-    Opt.Device = Dev;
-    CompileOutput Out = GC.compile(*Naive, Opt);
-    if (RN.Valid && Out.Best) {
-      PerfResult RO = measure(Dev, *Out.Best);
-      if (RO.Valid)
-        Speedup = RN.TimeMs / RO.TimeMs;
-    }
-  }
-  State.counters["speedup"] = Speedup;
-  Report::get().add(strFormat("A2 vv naive-block=%d", BlockX),
-                    {{"speedup_x", Speedup}});
+  KernelFunction *Naive = parseNaive(M, Algo::VV, 1 << 20, D);
+  if (!Naive)
+    return 0;
+  Naive->launch().BlockDimX = BlockX;
+  Naive->launch().GridDimX = Naive->workDomainX() / BlockX;
+  PerfResult RN = measure(Dev, *Naive);
+  GpuCompiler GC(M, D);
+  CompileOptions Opt;
+  Opt.Device = Dev;
+  CompileOutput Out = GC.compile(*Naive, Opt);
+  if (!RN.Valid || !Out.Best)
+    return 0;
+  PerfResult RO = measure(Dev, *Out.Best);
+  return RO.Valid ? RN.TimeMs / RO.TimeMs : 0;
 }
 
 // --- A3: partial-camping detection -------------------------------------
-
-Simulator &Sim();
-
-void BM_PartialCamping(benchmark::State &State, long long N) {
-  // Compare the measured camping factor of the compiled transpose on
-  // GTX 8800 against the factor of the same kernel without the remap.
-  DeviceSpec Dev = DeviceSpec::gtx8800();
-  Module M;
-  DiagnosticsEngine D;
-  double FactorWith = 1, FactorWithout = 1;
-  for (auto _ : State) {
-    KernelFunction *Naive = parseNaive(M, Algo::TP, N, D);
-    if (!Naive)
-      continue;
-    GpuCompiler GC(M, D);
-    CompileOptions Opt;
-    Opt.Device = Dev;
-    KernelFunction *With = GC.compileVariant(*Naive, Opt, 1, 1);
-    Opt.PartitionElim = false;
-    KernelFunction *Without = GC.compileVariant(*Naive, Opt, 1, 1);
-    if (!With || !Without)
-      continue;
-    BufferSet B1, B2;
-    PerfResult RW = Sim().runPerformance(*With, B1, D);
-    PerfResult RO = Sim().runPerformance(*Without, B2, D);
-    if (RW.Valid && RO.Valid) {
-      FactorWith = RW.Timing.CampingFactor;
-      FactorWithout = RO.Timing.CampingFactor;
-    }
-  }
-  State.counters["camping_with"] = FactorWith;
-  Report::get().add(
-      strFormat("A3 tp %lldx%lld GTX8800", N, N),
-      {{"camping_eliminated", FactorWith},
-       {"camping_without_remap", FactorWithout}});
-}
 
 Simulator &Sim() {
   static Simulator S(DeviceSpec::gtx8800());
   return S;
 }
 
-int Registered = [] {
-  Report::get().setTitle("Ablations of the substrate-model decisions "
-                         "(DESIGN.md section 8)");
-  for (bool Relaxed : {true, false})
-    benchmark::RegisterBenchmark(
-        strFormat("ablation/relaxed_%d", Relaxed).c_str(),
-        [Relaxed](benchmark::State &S) { BM_RelaxedCoalescer(S, Relaxed); })
-        ->Iterations(1)->Unit(benchmark::kMillisecond);
-  for (int W : {16, 64, 256})
-    benchmark::RegisterBenchmark(
-        strFormat("ablation/naive_block_%d", W).c_str(),
-        [W](benchmark::State &S) { BM_NaiveWidth(S, W); })
-        ->Iterations(1)->Unit(benchmark::kMillisecond);
-  for (long long N : {2048LL, 4096LL})
-    benchmark::RegisterBenchmark(
-        strFormat("ablation/partial_camping_%lld", N).c_str(),
-        [N](benchmark::State &S) { BM_PartialCamping(S, N); })
-        ->Iterations(1)->Unit(benchmark::kMillisecond);
-  return 0;
-}();
+void runPartialCamping(long long N) {
+  // Compare the measured camping factor of the compiled transpose on
+  // GTX 8800 against the factor of the same kernel without the remap.
+  DeviceSpec Dev = DeviceSpec::gtx8800();
+  Module M;
+  DiagnosticsEngine D;
+  double FactorWith = 1, FactorWithout = 1;
+  if (KernelFunction *Naive = parseNaive(M, Algo::TP, N, D)) {
+    GpuCompiler GC(M, D);
+    CompileOptions Opt;
+    Opt.Device = Dev;
+    KernelFunction *With = GC.compileVariant(*Naive, Opt, 1, 1);
+    Opt.PartitionElim = false;
+    KernelFunction *Without = GC.compileVariant(*Naive, Opt, 1, 1);
+    if (With && Without) {
+      BufferSet B1, B2;
+      PerfResult RW = Sim().runPerformance(*With, B1, D);
+      PerfResult RO = Sim().runPerformance(*Without, B2, D);
+      if (RW.Valid && RO.Valid) {
+        FactorWith = RW.Timing.CampingFactor;
+        FactorWithout = RO.Timing.CampingFactor;
+      }
+    }
+  }
+  Report::get().add(
+      strFormat("A3 tp %lldx%lld GTX8800", N, N),
+      {{"camping_eliminated", FactorWith},
+       {"camping_without_remap", FactorWithout}});
+}
 
 } // namespace
 
-GPUC_BENCH_MAIN()
+int main(int, char **argv) {
+  Report::get().setTitle("Ablations of the substrate-model decisions "
+                         "(DESIGN.md section 8)");
+  for (bool Relaxed : {true, false})
+    runRelaxedCoalescer(Relaxed);
+  for (int W : {16, 64, 256})
+    Report::get().add(strFormat("A2 vv naive-block=%d", W),
+                      {{"speedup_x", naiveWidthSpeedup(W)}});
+  for (long long N : {2048LL, 4096LL})
+    runPartialCamping(N);
+  return Report::get().finish(argv[0]);
+}

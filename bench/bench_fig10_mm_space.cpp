@@ -15,37 +15,33 @@ using namespace gpuc::bench;
 
 namespace {
 
-void BM_MmDesignPoint(benchmark::State &State, long long N, int BlockN,
-                      int ThreadM) {
+void runDesignPoint(long long N, int BlockN, int ThreadM) {
   DeviceSpec Dev = DeviceSpec::gtx280();
   Module M;
   DiagnosticsEngine D;
   KernelFunction *Naive = parseNaive(M, Algo::MM, N, D);
   double Gflops = 0;
   bool Feasible = false;
-  for (auto _ : State) {
-    GpuCompiler GC(M, D);
-    CompileOptions Opt;
-    Opt.Device = Dev;
-    KernelFunction *V = GC.compileVariant(*Naive, Opt, BlockN, ThreadM);
-    if (!V)
-      continue;
-    if (computeOccupancy(Dev, *V).Infeasible)
-      continue;
+  GpuCompiler GC(M, D);
+  CompileOptions Opt;
+  Opt.Device = Dev;
+  KernelFunction *V = GC.compileVariant(*Naive, Opt, BlockN, ThreadM);
+  if (V && !computeOccupancy(Dev, *V).Infeasible) {
     PerfResult R = measure(Dev, *V);
     if (R.Valid) {
       Feasible = true;
       Gflops = R.gflops(algoFlops(Algo::MM, N));
     }
   }
-  State.counters["gflops"] = Gflops;
   Report::get().add(
       strFormat("mm %lldx%lld  blocks=%-2d threads=%-2d%s", N, N, BlockN,
                 ThreadM, Feasible ? "" : " (infeasible)"),
       {{"gflops", Gflops}});
 }
 
-void registerAll() {
+} // namespace
+
+int main(int, char **argv) {
   Report::get().setTitle("Figure 10: mm design space on GTX 280 "
                          "(merged blocks along X x merged threads along Y)");
   Report::get().addNote(
@@ -53,17 +49,6 @@ void registerAll() {
   for (long long N : {1024LL, 2048LL})
     for (int BlockN : {8, 16, 32})
       for (int ThreadM : {4, 8, 16, 32})
-        benchmark::RegisterBenchmark(
-            strFormat("fig10/mm%lld/b%d_t%d", N, BlockN, ThreadM).c_str(),
-            [N, BlockN, ThreadM](benchmark::State &S) {
-              BM_MmDesignPoint(S, N, BlockN, ThreadM);
-            })
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
+        runDesignPoint(N, BlockN, ThreadM);
+  return Report::get().finish(argv[0]);
 }
-
-int Registered = (registerAll(), 0);
-
-} // namespace
-
-GPUC_BENCH_MAIN()

@@ -31,51 +31,34 @@ long long benchSize(Algo A) {
 
 std::vector<double> Speed8800, Speed280;
 
-void BM_Speedup(benchmark::State &State, Algo A, bool Gtx280) {
+void runSpeedup(Algo A, bool Gtx280) {
   DeviceSpec Dev = Gtx280 ? DeviceSpec::gtx280() : DeviceSpec::gtx8800();
   long long N = benchSize(A);
   Module M;
   double Speedup = 0;
-  for (auto _ : State) {
-    PerfResult Naive = measureNaive(M, Dev, A, N);
-    CompileOutput Best = compileBest(M, Dev, A, N);
-    if (Naive.Valid && Best.Best) {
-      PerfResult Opt = measure(Dev, *Best.Best);
-      if (Opt.Valid)
-        Speedup = Naive.TimeMs / Opt.TimeMs;
-    }
+  PerfResult Naive = measureNaive(M, Dev, A, N);
+  CompileOutput Best = compileBest(M, Dev, A, N);
+  if (Naive.Valid && Best.Best) {
+    PerfResult Opt = measure(Dev, *Best.Best);
+    if (Opt.Valid)
+      Speedup = Naive.TimeMs / Opt.TimeMs;
   }
-  State.counters["speedup"] = Speedup;
   (Gtx280 ? Speed280 : Speed8800).push_back(Speedup);
   Report::get().add(strFormat("%-12s %s", algoInfo(A).Name, Dev.Name.c_str()),
                     {{"speedup_x", Speedup}});
 }
 
-void registerAll() {
+} // namespace
+
+int main(int, char **argv) {
   Report::get().setTitle(
       "Figure 11: kernel speedup of optimized over naive (both GPUs)");
   for (bool Gtx280 : {false, true})
     for (Algo A : table1Algos())
-      benchmark::RegisterBenchmark(
-          strFormat("fig11/%s/%s", algoInfo(A).Name,
-                    Gtx280 ? "GTX280" : "GTX8800").c_str(),
-          [A, Gtx280](benchmark::State &S) { BM_Speedup(S, A, Gtx280); })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-}
-
-int Registered = (registerAll(), 0);
-
-} // namespace
-
-int main(int argc, char **argv) {
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
+      runSpeedup(A, Gtx280);
   Report::get().add("GEOMEAN GTX8800 (paper 15.1x)",
                     {{"speedup_x", geomean(Speed8800)}});
   Report::get().add("GEOMEAN GTX280 (paper 7.9x)",
                     {{"speedup_x", geomean(Speed280)}});
-  Report::get().print();
-  Report::get().writeJson(Report::jsonPathFor(argv[0]));
-  return 0;
+  return Report::get().finish(argv[0]);
 }

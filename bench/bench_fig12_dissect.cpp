@@ -4,10 +4,11 @@
 // all applications, on both GPUs: naive -> +coalescing -> +thread/block
 // merge -> +prefetch -> +partition-camping elimination -> +affine layout
 // search. The paper finds thread/thread-block merge dominates and
-// prefetching contributes little (registers are already spent); the
-// +layout column replaces the heuristic camping fix with the full affine
-// family search (DESIGN.md section 16) and can only hold or improve on
-// +partition, since the legacy fixes are family points.
+// prefetching contributes little (registers are already spent). The
+// +partition column applies the paper's one-shot camping fix at the
+// winner's merge factors; the +layout column is the full affine family
+// search (DESIGN.md section 16) and can only hold or improve on
+// +partition, since the paper's fixes are family points.
 //
 //===----------------------------------------------------------------------===//
 
@@ -64,69 +65,54 @@ std::map<std::string, std::vector<double>> StageSpeedups[2];
 // dissection stops re-simulating them.
 SimCache Cache;
 
-void BM_Dissect(benchmark::State &State, Algo A, bool Gtx280) {
+void runDissect(Algo A, bool Gtx280) {
   DeviceSpec Dev = Gtx280 ? DeviceSpec::gtx280() : DeviceSpec::gtx8800();
   long long N = benchSize(A);
   Module M;
   DiagnosticsEngine D;
-  for (auto _ : State) {
-    KernelFunction *Naive = parseNaive(M, A, N, D);
-    if (!Naive)
-      continue;
-    PerfResult RN = measure(Dev, *Naive, &Cache);
-    if (!RN.Valid)
-      continue;
-    GpuCompiler GC(M, D);
-    // Pick merge factors from the full pipeline's empirical search once.
-    CompileOptions FullOpt;
-    FullOpt.Device = Dev;
-    FullOpt.Cache = &Cache;
-    CompileOutput Best = GC.compile(*Naive, FullOpt);
-    int BN = Best.BestVariant.BlockMergeN;
-    int TM = Best.BestVariant.ThreadMergeM;
-    for (const StageDef &St : stages()) {
-      double Speedup = 1.0;
-      if (std::string(St.Name) == "+layout") {
-        // The layout column is the full search's winner: the affine
-        // family (layout dimension included) scored by the same model.
-        if (Best.BestVariant.Feasible && Best.BestVariant.Perf.TimeMs > 0)
-          Speedup = RN.TimeMs / Best.BestVariant.Perf.TimeMs;
-      } else if (std::string(St.Name) != "naive") {
-        CompileOptions Opt = St.Opt;
-        Opt.Device = Dev;
-        KernelFunction *V = GC.compileVariant(
-            *Naive, Opt, St.UseBestFactors ? BN : 1,
-            St.UseBestFactors ? TM : 1);
-        if (V) {
-          PerfResult R = measure(Dev, *V, &Cache);
-          if (R.Valid)
-            Speedup = RN.TimeMs / R.TimeMs;
-        }
+  KernelFunction *Naive = parseNaive(M, A, N, D);
+  if (!Naive)
+    return;
+  PerfResult RN = measure(Dev, *Naive, &Cache);
+  if (!RN.Valid)
+    return;
+  GpuCompiler GC(M, D);
+  // Pick merge factors from the full pipeline's empirical search once.
+  CompileOptions FullOpt;
+  FullOpt.Device = Dev;
+  FullOpt.Cache = &Cache;
+  CompileOutput Best = GC.compile(*Naive, FullOpt);
+  int BN = Best.BestVariant.BlockMergeN;
+  int TM = Best.BestVariant.ThreadMergeM;
+  for (const StageDef &St : stages()) {
+    double Speedup = 1.0;
+    if (std::string(St.Name) == "+layout") {
+      // The layout column is the full search's winner: the affine
+      // family (layout dimension included) scored by the same model.
+      if (Best.BestVariant.Feasible && Best.BestVariant.Perf.TimeMs > 0)
+        Speedup = RN.TimeMs / Best.BestVariant.Perf.TimeMs;
+    } else if (std::string(St.Name) != "naive") {
+      CompileOptions Opt = St.Opt;
+      Opt.Device = Dev;
+      KernelFunction *V = GC.compileVariant(
+          *Naive, Opt, St.UseBestFactors ? BN : 1,
+          St.UseBestFactors ? TM : 1);
+      if (V) {
+        PerfResult R = measure(Dev, *V, &Cache);
+        if (R.Valid)
+          Speedup = RN.TimeMs / R.TimeMs;
       }
-      StageSpeedups[Gtx280 ? 1 : 0][St.Name].push_back(Speedup);
     }
+    StageSpeedups[Gtx280 ? 1 : 0][St.Name].push_back(Speedup);
   }
-  State.counters["done"] = 1;
 }
-
-void registerAll() {
-  for (bool Gtx280 : {false, true})
-    for (Algo A : table1Algos())
-      benchmark::RegisterBenchmark(
-          strFormat("fig12/%s/%s", algoInfo(A).Name,
-                    Gtx280 ? "GTX280" : "GTX8800").c_str(),
-          [A, Gtx280](benchmark::State &S) { BM_Dissect(S, A, Gtx280); })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-}
-
-int Registered = (registerAll(), 0);
 
 } // namespace
 
-int main(int argc, char **argv) {
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
+int main(int, char **argv) {
+  for (bool Gtx280 : {false, true})
+    for (Algo A : table1Algos())
+      runDissect(A, Gtx280);
   Report::get().setTitle("Figure 12: per-step dissection "
                          "(geomean speedup over naive, all algorithms)");
   for (int Dev = 0; Dev < 2; ++Dev) {
@@ -152,7 +138,5 @@ int main(int argc, char **argv) {
                         static_cast<double>(Cache.misses()));
   Report::get().addMeta("sim_cache_hit_rate",
                         Lookups > 0 ? Cache.hits() / Lookups : 0.0);
-  Report::get().print();
-  Report::get().writeJson(Report::jsonPathFor(argv[0]));
-  return 0;
+  return Report::get().finish(argv[0]);
 }

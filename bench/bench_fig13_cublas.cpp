@@ -17,16 +17,14 @@ namespace {
 
 std::vector<double> Ratios;
 
-void BM_VsCublas(benchmark::State &State, Algo A, long long N) {
+void runVsCublas(Algo A, long long N) {
   DeviceSpec Dev = DeviceSpec::gtx280();
   Module M;
   DiagnosticsEngine D;
   double OursMs = 0, LibMs = 0;
-  for (auto _ : State) {
-    CompileOutput Ours = compileBest(M, Dev, A, N);
-    KernelFunction *Lib = cublasLikeKernel(M, A, N, D);
-    if (!Ours.Best || !Lib)
-      continue;
+  CompileOutput Ours = compileBest(M, Dev, A, N);
+  KernelFunction *Lib = cublasLikeKernel(M, A, N, D);
+  if (Ours.Best && Lib) {
     PerfResult ROurs = measure(Dev, *Ours.Best);
     PerfResult RLib = measure(Dev, *Lib);
     if (ROurs.Valid && RLib.Valid) {
@@ -38,8 +36,6 @@ void BM_VsCublas(benchmark::State &State, Algo A, long long N) {
   double Ratio = OursMs > 0 ? LibMs / OursMs : 0;
   if (Ratio > 0)
     Ratios.push_back(Ratio);
-  State.counters["ours_ms"] = OursMs;
-  State.counters["cublas_ms"] = LibMs;
   Report::get().add(
       strFormat("%-6s n=%lld", algoInfo(A).Name, N),
       {{"ours_gflops", OursMs > 0 ? Flops / (OursMs * 1e6) : 0},
@@ -47,7 +43,9 @@ void BM_VsCublas(benchmark::State &State, Algo A, long long N) {
        {"ours_over_cublas_x", Ratio}});
 }
 
-void registerAll() {
+} // namespace
+
+int main(int, char **argv) {
   Report::get().setTitle(
       "Figure 13: optimized kernels vs CUBLAS-2.2-like library (GTX 280)");
   const Algo Six[] = {Algo::TMV, Algo::MM,   Algo::MV,
@@ -61,24 +59,9 @@ void registerAll() {
     if (A == Algo::STRSM)
       Sizes = {512, 1024};
     for (long long N : Sizes)
-      benchmark::RegisterBenchmark(
-          strFormat("fig13/%s/%lld", algoInfo(A).Name, N).c_str(),
-          [A, N](benchmark::State &S) { BM_VsCublas(S, A, N); })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+      runVsCublas(A, N);
   }
-}
-
-int Registered = (registerAll(), 0);
-
-} // namespace
-
-int main(int argc, char **argv) {
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   Report::get().add("GEOMEAN ours/cublas (paper 1.26-1.33x)",
                     {{"x", geomean(Ratios)}});
-  Report::get().print();
-  Report::get().writeJson(Report::jsonPathFor(argv[0]));
-  return 0;
+  return Report::get().finish(argv[0]);
 }

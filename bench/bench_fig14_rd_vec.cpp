@@ -15,29 +15,32 @@ using namespace gpuc::bench;
 
 namespace {
 
-void BM_CrdVec(benchmark::State &State, long long N, bool WithVec) {
-  DeviceSpec Dev = DeviceSpec::gtx280();
+/// Simulated run of the crd search winner at \p N; invalid when the
+/// kernel fails to parse or compile.
+PerfResult crdWinner(const DeviceSpec &Dev, long long N, bool WithVec) {
   Module M;
   DiagnosticsEngine D;
+  KernelFunction *Naive = parseNaive(M, Algo::CRD, N, D);
+  if (!Naive)
+    return PerfResult();
+  GpuCompiler GC(M, D);
+  CompileOptions Opt;
+  Opt.Device = Dev;
+  Opt.Vectorize = WithVec;
+  CompileOutput Out = GC.compile(*Naive, Opt);
+  if (!Out.Best)
+    return PerfResult();
+  return measure(Dev, *Out.Best);
+}
+
+void runCrdVec(long long N, bool WithVec) {
+  DeviceSpec Dev = DeviceSpec::gtx280();
   double Ms = 0, SharedAccesses = 0;
-  for (auto _ : State) {
-    KernelFunction *Naive = parseNaive(M, Algo::CRD, N, D);
-    if (!Naive)
-      continue;
-    GpuCompiler GC(M, D);
-    CompileOptions Opt;
-    Opt.Device = Dev;
-    Opt.Vectorize = WithVec;
-    CompileOutput Out = GC.compile(*Naive, Opt);
-    if (!Out.Best)
-      continue;
-    PerfResult R = measure(Dev, *Out.Best);
-    if (R.Valid) {
-      Ms = R.TimeMs;
-      SharedAccesses = R.Stats.SharedAccessHalfWarps;
-    }
+  PerfResult R = crdWinner(Dev, N, WithVec);
+  if (R.Valid) {
+    Ms = R.TimeMs;
+    SharedAccesses = R.Stats.SharedAccessHalfWarps;
   }
-  State.counters["ms"] = Ms;
   Report::get().add(
       strFormat("crd n=%-9lld %s", N,
                 WithVec ? "optimized" : "optimized_wo_vec"),
@@ -47,20 +50,13 @@ void BM_CrdVec(benchmark::State &State, long long N, bool WithVec) {
        {"shared_halfwarp_accesses", SharedAccesses}});
 }
 
-void registerAll() {
+} // namespace
+
+int main(int, char **argv) {
   Report::get().setTitle(
       "Figure 14: complex reduction with and without vectorization");
   for (long long N : {1 << 20, 1 << 22, 1 << 24})
     for (bool Vec : {false, true})
-      benchmark::RegisterBenchmark(
-          strFormat("fig14/crd%lld/%s", N, Vec ? "vec" : "novec").c_str(),
-          [N, Vec](benchmark::State &S) { BM_CrdVec(S, N, Vec); })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+      runCrdVec(N, Vec);
+  return Report::get().finish(argv[0]);
 }
-
-int Registered = (registerAll(), 0);
-
-} // namespace
-
-GPUC_BENCH_MAIN()

@@ -17,40 +17,37 @@ using namespace gpuc::bench;
 
 namespace {
 
-void BM_Transpose(benchmark::State &State, long long N, int Which,
-                  bool Gtx280) {
+void runTranspose(long long N, int Which, bool Gtx280) {
   DeviceSpec Dev = Gtx280 ? DeviceSpec::gtx280() : DeviceSpec::gtx8800();
   Module M;
-  DiagnosticsEngine D;
   double Ms = 0;
   const char *Label = Which == 0 ? "optimized" : Which == 1 ? "SDK new"
                                                             : "SDK prev";
-  for (auto _ : State) {
-    KernelFunction *K = nullptr;
-    // Owns the winner's Module: it must outlive the measurement below.
-    CompileOutput Out;
-    if (Which == 0) {
-      Out = compileBest(M, Dev, Algo::TP, N);
-      K = Out.Best;
-    } else if (Which == 1) {
-      K = sdkTransposeNew(M, N);
-    } else {
-      K = sdkTransposePrev(M, N);
-    }
-    if (!K)
-      continue;
+  KernelFunction *K = nullptr;
+  // Owns the winner's Module: it must outlive the measurement below.
+  CompileOutput Out;
+  if (Which == 0) {
+    Out = compileBest(M, Dev, Algo::TP, N);
+    K = Out.Best;
+  } else if (Which == 1) {
+    K = sdkTransposeNew(M, N);
+  } else {
+    K = sdkTransposePrev(M, N);
+  }
+  if (K) {
     PerfResult R = measure(Dev, *K);
     if (R.Valid)
       Ms = R.TimeMs;
   }
   double GBs = Ms > 0 ? algoUsefulBytes(Algo::TP, N) / (Ms * 1e6) : 0;
-  State.counters["GBps"] = GBs;
   Report::get().add(strFormat("tp %lldx%lld %-7s %-9s", N, N,
                               Dev.Name.c_str(), Label),
                     {{"effective_GBps", GBs}});
 }
 
-void registerAll() {
+} // namespace
+
+int main(int, char **argv) {
   Report::get().setTitle(
       "Figure 15: transpose effective bandwidth (GB/s)");
   Report::get().addNote("paper: optimized >= SDK new > SDK prev; camping "
@@ -59,18 +56,6 @@ void registerAll() {
   for (bool Gtx280 : {true, false})
     for (long long N : {1024LL, 2048LL, 3072LL, 4096LL})
       for (int Which : {0, 1, 2})
-        benchmark::RegisterBenchmark(
-            strFormat("fig15/tp%lld/%s/%d", N,
-                      Gtx280 ? "GTX280" : "GTX8800", Which).c_str(),
-            [N, Which, Gtx280](benchmark::State &S) {
-              BM_Transpose(S, N, Which, Gtx280);
-            })
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
+        runTranspose(N, Which, Gtx280);
+  return Report::get().finish(argv[0]);
 }
-
-int Registered = (registerAll(), 0);
-
-} // namespace
-
-GPUC_BENCH_MAIN()

@@ -16,7 +16,7 @@ using namespace gpuc::bench;
 
 namespace {
 
-void BM_Mv(benchmark::State &State, long long N, int Which) {
+void runMv(long long N, int Which) {
   DeviceSpec Dev = DeviceSpec::gtx280();
   Module M;
   DiagnosticsEngine D;
@@ -25,27 +25,22 @@ void BM_Mv(benchmark::State &State, long long N, int Which) {
                       : Which == 2 ? "optimized"
                                    : "CUBLAS-like";
   double Ms = 0, Camping = 1;
-  for (auto _ : State) {
-    KernelFunction *K = nullptr;
-    // Owns the winner's Module: it must outlive the measurement below.
-    CompileOutput Out;
-    if (Which == 0) {
-      K = parseNaive(M, Algo::MV, N, D);
-    } else if (Which == 3) {
-      K = cublasLikeKernel(M, Algo::MV, N, D);
-    } else {
-      KernelFunction *Naive = parseNaive(M, Algo::MV, N, D);
-      if (!Naive)
-        continue;
-      GpuCompiler GC(M, D);
-      CompileOptions Opt;
-      Opt.Device = Dev;
-      Opt.PartitionElim = Which == 2;
-      Out = GC.compile(*Naive, Opt);
-      K = Out.Best;
-    }
-    if (!K)
-      continue;
+  KernelFunction *K = nullptr;
+  // Owns the winner's Module: it must outlive the measurement below.
+  CompileOutput Out;
+  if (Which == 0) {
+    K = parseNaive(M, Algo::MV, N, D);
+  } else if (Which == 3) {
+    K = cublasLikeKernel(M, Algo::MV, N, D);
+  } else if (KernelFunction *Naive = parseNaive(M, Algo::MV, N, D)) {
+    GpuCompiler GC(M, D);
+    CompileOptions Opt;
+    Opt.Device = Dev;
+    Opt.PartitionElim = Which == 2;
+    Out = GC.compile(*Naive, Opt);
+    K = Out.Best;
+  }
+  if (K) {
     PerfResult R = measure(Dev, *K);
     if (R.Valid) {
       Ms = R.TimeMs;
@@ -53,26 +48,18 @@ void BM_Mv(benchmark::State &State, long long N, int Which) {
     }
   }
   double Flops = algoFlops(Algo::MV, N);
-  State.counters["gflops"] = Ms > 0 ? Flops / (Ms * 1e6) : 0;
   Report::get().add(strFormat("mv n=%-5lld %-12s", N, Label),
                     {{"gflops", Ms > 0 ? Flops / (Ms * 1e6) : 0},
                      {"camping_factor", Camping}});
 }
 
-void registerAll() {
+} // namespace
+
+int main(int, char **argv) {
   Report::get().setTitle("Figure 16: mv naive / Opti_PC / optimized / "
                          "CUBLAS-like (GTX 280)");
   for (long long N : {1024LL, 2048LL, 4096LL})
     for (int Which : {0, 1, 2, 3})
-      benchmark::RegisterBenchmark(
-          strFormat("fig16/mv%lld/%d", N, Which).c_str(),
-          [N, Which](benchmark::State &S) { BM_Mv(S, N, Which); })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+      runMv(N, Which);
+  return Report::get().finish(argv[0]);
 }
-
-int Registered = (registerAll(), 0);
-
-} // namespace
-
-GPUC_BENCH_MAIN()

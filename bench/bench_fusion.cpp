@@ -131,73 +131,50 @@ bool fusedChainBitIdentical(const std::vector<const KernelFunction *> &Stages,
   return true;
 }
 
-void BM_Pipeline(benchmark::State &State, const char *Label,
-                 const std::string &Source) {
-  for (auto _ : State) {
-    PipeResult R;
-    R.Label = Label;
+void runPipeline(const char *Label, const std::string &Source) {
+  PipeResult R;
+  R.Label = Label;
 
-    Module M;
-    DiagnosticsEngine D;
-    Parser P(Source, D);
-    std::vector<KernelFunction *> Stages = P.parseProgram(M);
-    if (Stages.size() < 2) {
-      Results.push_back(R);
-      continue;
-    }
-    std::vector<const KernelFunction *> CStages(Stages.begin(), Stages.end());
-
-    GpuCompiler GC(M, D);
-    CompileOptions Opt;
-    Opt.Device = DeviceSpec::gtx280();
-    Opt.Jobs = 1;
-    WallTimer T;
-    ProgramCompileOutput Out = GC.compileProgram(CStages, Opt);
-    R.SearchWallMs = T.elapsedMs();
-
-    R.Legal = Out.FusionLegal;
-    R.UseFused = Out.UseFused;
-    R.FusedMs = Out.FusedMs;
-    R.UnfusedMs = Out.UnfusedMs;
-    if (!Out.FusionSteps.empty())
-      R.Placement =
-          fusePlacementName(Out.FusionSteps.back().Placement);
-    if (R.Legal && Out.Fused)
-      R.BitIdentical = fusedChainBitIdentical(CStages, *Out.Fused);
-
+  Module M;
+  DiagnosticsEngine D;
+  Parser P(Source, D);
+  std::vector<KernelFunction *> Stages = P.parseProgram(M);
+  if (Stages.size() < 2) {
     Results.push_back(R);
-    State.counters["fused_ms"] = R.FusedMs;
-    State.counters["unfused_ms"] = R.UnfusedMs;
+    return;
   }
-}
+  std::vector<const KernelFunction *> CStages(Stages.begin(), Stages.end());
 
-void registerOne(const char *Label, std::string Source) {
-  benchmark::RegisterBenchmark(
-      strFormat("fusion/%s", Label).c_str(),
-      [Label, Source = std::move(Source)](benchmark::State &S) {
-        BM_Pipeline(S, Label, Source);
-      })
-      ->Iterations(1)
-      ->Unit(benchmark::kMillisecond);
-}
+  GpuCompiler GC(M, D);
+  CompileOptions Opt;
+  Opt.Device = DeviceSpec::gtx280();
+  Opt.Jobs = 1;
+  WallTimer T;
+  ProgramCompileOutput Out = GC.compileProgram(CStages, Opt);
+  R.SearchWallMs = T.elapsedMs();
 
-void registerAll() {
-  Report::get().setTitle(
-      "Kernel fusion: modeled fused vs unfused pipelines, GTX 280");
-  registerOne("blas2_mv_axpy_128", blas2Source(128));
-  registerOne("blas2_mv_axpy_256", blas2Source(256));
-  registerOne("blas2_mv_axpy_512", blas2Source(512));
-  registerOne("stencil_blur_4096", stencilSource(4096));
-  registerOne("rejected_dot_64", rejectedSource(64));
-}
+  R.Legal = Out.FusionLegal;
+  R.UseFused = Out.UseFused;
+  R.FusedMs = Out.FusedMs;
+  R.UnfusedMs = Out.UnfusedMs;
+  if (!Out.FusionSteps.empty())
+    R.Placement = fusePlacementName(Out.FusionSteps.back().Placement);
+  if (R.Legal && Out.Fused)
+    R.BitIdentical = fusedChainBitIdentical(CStages, *Out.Fused);
 
-int Registered = (registerAll(), 0);
+  Results.push_back(R);
+}
 
 } // namespace
 
-int main(int argc, char **argv) {
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
+int main(int, char **argv) {
+  Report::get().setTitle(
+      "Kernel fusion: modeled fused vs unfused pipelines, GTX 280");
+  runPipeline("blas2_mv_axpy_128", blas2Source(128));
+  runPipeline("blas2_mv_axpy_256", blas2Source(256));
+  runPipeline("blas2_mv_axpy_512", blas2Source(512));
+  runPipeline("stencil_blur_4096", stencilSource(4096));
+  runPipeline("rejected_dot_64", rejectedSource(64));
 
   Report &Rep = Report::get();
   bool GatesOk = !Results.empty();
@@ -246,7 +223,5 @@ int main(int argc, char **argv) {
   Rep.addNote("use_fused=1 on every blas2 row and legal=0 on the rejected "
               "row are acceptance gates, not observations");
 
-  Rep.print();
-  Rep.writeJson(Report::jsonPathFor(argv[0]));
-  return GatesOk ? 0 : 1;
+  return Rep.finish(argv[0], GatesOk ? 0 : 1);
 }

@@ -41,77 +41,52 @@ struct EngineResult {
 
 std::vector<EngineResult> Results;
 
-void BM_Engine(benchmark::State &State, const char *Name, InterpBackend B) {
-  for (auto _ : State) {
-    EngineResult R;
-    R.Name = Name;
+void runEngine(const char *Name, InterpBackend B) {
+  EngineResult R;
+  R.Name = Name;
 
-    // Search critical path: serial, uncached, so wall time is the sum of
-    // every candidate's compile + sampled simulation.
-    {
-      Module M;
-      DiagnosticsEngine D;
-      KernelFunction *Naive = parseNaive(M, Algo::MM, SearchN, D);
-      if (Naive) {
-        GpuCompiler GC(M, D);
-        CompileOptions Opt;
-        Opt.Device = DeviceSpec::gtx280();
-        Opt.Jobs = 1;
-        Opt.Interp = B;
-        WallTimer T;
-        CompileOutput Out = GC.compile(*Naive, Opt);
-        R.SearchWallMs = T.elapsedMs();
-        R.BlockN = Out.BestVariant.BlockMergeN;
-        R.ThreadM = Out.BestVariant.ThreadMergeM;
-        R.BestMs = Out.BestVariant.Perf.TimeMs;
-        if (Out.Best)
-          R.Text = printKernel(*Out.Best);
-        R.Stats = Out.Search;
-      }
+  // Search critical path: serial, uncached, so wall time is the sum of
+  // every candidate's compile + sampled simulation.
+  {
+    Module M;
+    DiagnosticsEngine D;
+    KernelFunction *Naive = parseNaive(M, Algo::MM, SearchN, D);
+    if (Naive) {
+      GpuCompiler GC(M, D);
+      CompileOptions Opt;
+      Opt.Device = DeviceSpec::gtx280();
+      Opt.Jobs = 1;
+      Opt.Interp = B;
+      WallTimer T;
+      CompileOutput Out = GC.compile(*Naive, Opt);
+      R.SearchWallMs = T.elapsedMs();
+      R.BlockN = Out.BestVariant.BlockMergeN;
+      R.ThreadM = Out.BestVariant.ThreadMergeM;
+      R.BestMs = Out.BestVariant.Perf.TimeMs;
+      if (Out.Best)
+        R.Text = printKernel(*Out.Best);
+      R.Stats = Out.Search;
     }
-
-    // Functional whole-grid run (every thread, every iteration).
-    {
-      Module M;
-      DiagnosticsEngine D;
-      KernelFunction *Naive = parseNaive(M, Algo::MM, FunctionalN, D);
-      if (Naive) {
-        Simulator Sim(DeviceSpec::gtx280());
-        Sim.setInterpBackend(B);
-        BufferSet Buf;
-        initInputs(Algo::MM, FunctionalN, Buf);
-        WallTimer T;
-        Sim.runFunctional(*Naive, Buf, D);
-        R.FunctionalWallMs = T.elapsedMs();
-      }
-    }
-
-    Results.push_back(R);
-    State.counters["search_wall_ms"] = R.SearchWallMs;
-    State.counters["functional_wall_ms"] = R.FunctionalWallMs;
   }
-}
 
-void registerAll() {
-  Report::get().setTitle(
-      "Interpreter engines: mm 1024 search + mm 256 functional, GTX 280");
-  benchmark::RegisterBenchmark("interp/scalar",
-                               [](benchmark::State &S) {
-                                 BM_Engine(S, "scalar",
-                                           InterpBackend::Scalar);
-                               })
-      ->Iterations(1)
-      ->Unit(benchmark::kMillisecond);
-  benchmark::RegisterBenchmark("interp/vector",
-                               [](benchmark::State &S) {
-                                 BM_Engine(S, "vector",
-                                           InterpBackend::Vector);
-                               })
-      ->Iterations(1)
-      ->Unit(benchmark::kMillisecond);
-}
+  // Functional whole-grid run (every thread, every iteration).
+  {
+    Module M;
+    DiagnosticsEngine D;
+    KernelFunction *Naive = parseNaive(M, Algo::MM, FunctionalN, D);
+    if (Naive) {
+      Simulator Sim(DeviceSpec::gtx280());
+      Sim.setInterpBackend(B);
+      BufferSet Buf;
+      initInputs(Algo::MM, FunctionalN, Buf);
+      WallTimer T;
+      Sim.runFunctional(*Naive, Buf, D);
+      R.FunctionalWallMs = T.elapsedMs();
+    }
+  }
 
-int Registered = (registerAll(), 0);
+  Results.push_back(R);
+}
 
 const EngineResult *find(const char *Name) {
   for (const EngineResult &R : Results)
@@ -122,9 +97,11 @@ const EngineResult *find(const char *Name) {
 
 } // namespace
 
-int main(int argc, char **argv) {
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
+int main(int, char **argv) {
+  Report::get().setTitle(
+      "Interpreter engines: mm 1024 search + mm 256 functional, GTX 280");
+  runEngine("scalar", InterpBackend::Scalar);
+  runEngine("vector", InterpBackend::Vector);
 
   Report &Rep = Report::get();
   for (const EngineResult &R : Results)
@@ -163,7 +140,5 @@ int main(int argc, char **argv) {
   Rep.addNote("identical winner text and best_ms across engines is an "
               "acceptance gate, not an observation");
 
-  Rep.print();
-  Rep.writeJson(Report::jsonPathFor(argv[0]));
-  return SameWinner ? 0 : 1;
+  return Rep.finish(argv[0], SameWinner ? 0 : 1);
 }

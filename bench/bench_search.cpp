@@ -93,53 +93,53 @@ CompileOutput runSearch(int Jobs, bool Exhaustive, SimCache *Cache,
   return Out;
 }
 
-void BM_Search(benchmark::State &State, const char *Name, int Jobs,
-               bool Exhaustive, bool Warm, bool UseDisk) {
-  for (auto _ : State) {
-    if (Warm) { // prime the shared cache with an unmeasured run
-      double Ignored;
-      runSearch(Jobs, Exhaustive, &SharedCache, nullptr, Ignored);
-    }
-    ConfigResult R;
-    R.Name = Name;
-    // Each disk config opens its own DiskCache over the shared directory,
-    // modelling a separate process attaching to the machine's cache.
-    std::unique_ptr<DiskCache> Disk;
-    if (UseDisk)
-      Disk = std::make_unique<DiskCache>(diskDir());
-    CompileOutput Out = runSearch(Jobs, Exhaustive,
-                                  Warm ? &SharedCache : nullptr, Disk.get(),
-                                  R.WallMs);
-    R.BlockN = Out.BestVariant.BlockMergeN;
-    R.ThreadM = Out.BestVariant.ThreadMergeM;
-    R.BestMs = Out.BestVariant.Perf.TimeMs;
-    if (Out.Best)
-      R.Text = printKernel(*Out.Best);
-    R.Stats = Out.Search;
-    if (Disk) {
-      R.Disk = Disk->stats();
-      R.UsedDisk = true;
-    }
-    Results.push_back(R);
-    State.counters["wall_ms"] = R.WallMs;
-
-    // Record the explored grid once, from the full parallel config.
-    if (std::string(Name) == "pruned_jobs8")
-      for (const VariantResult &V : Out.Variants) {
-        std::string Status = V.Feasible ? "measured"
-                             : V.LimitedBy ? "infeasible"
-                             : V.Pruned    ? "pruned"
-                                           : "failed";
-        Report::get().add(
-            strFormat("variant b%-2d t%-2d  %-10s", V.BlockMergeN,
-                      V.ThreadMergeM, Status.c_str()),
-            {{"time_ms", V.Feasible ? V.Perf.TimeMs : 0.0},
-             {"lower_bound_ms", V.LowerBoundMs}});
-      }
+void runConfig(const char *Name, int Jobs, bool Exhaustive, bool Warm,
+               bool UseDisk) {
+  if (Warm) { // prime the shared cache with an unmeasured run
+    double Ignored;
+    runSearch(Jobs, Exhaustive, &SharedCache, nullptr, Ignored);
   }
+  ConfigResult R;
+  R.Name = Name;
+  // Each disk config opens its own DiskCache over the shared directory,
+  // modelling a separate process attaching to the machine's cache.
+  std::unique_ptr<DiskCache> Disk;
+  if (UseDisk)
+    Disk = std::make_unique<DiskCache>(diskDir());
+  CompileOutput Out = runSearch(Jobs, Exhaustive,
+                                Warm ? &SharedCache : nullptr, Disk.get(),
+                                R.WallMs);
+  R.BlockN = Out.BestVariant.BlockMergeN;
+  R.ThreadM = Out.BestVariant.ThreadMergeM;
+  R.BestMs = Out.BestVariant.Perf.TimeMs;
+  if (Out.Best)
+    R.Text = printKernel(*Out.Best);
+  R.Stats = Out.Search;
+  if (Disk) {
+    R.Disk = Disk->stats();
+    R.UsedDisk = true;
+  }
+  Results.push_back(R);
+
+  // Record the explored grid once, from the full parallel config.
+  if (std::string(Name) == "pruned_jobs8")
+    for (const VariantResult &V : Out.Variants) {
+      std::string Status = V.Feasible ? "measured"
+                           : V.LimitedBy ? "infeasible"
+                           : V.Pruned    ? "pruned"
+                                         : "failed";
+      Report::get().add(
+          strFormat("variant b%-2d t%-2d  %-10s", V.BlockMergeN,
+                    V.ThreadMergeM, Status.c_str()),
+          {{"time_ms", V.Feasible ? V.Perf.TimeMs : 0.0},
+           {"lower_bound_ms", V.LowerBoundMs}});
+    }
 }
 
-void registerAll() {
+/// Runs every configuration in order; the warm configs must come after
+/// the cold ones they depend on (pruned_jobs8_warm primes the in-memory
+/// cache itself; disk_warm_proc2 reads what disk_cold_proc1 wrote).
+void runAll() {
   Report::get().setTitle(
       "Design-space search cost: mm 1024 (Figure 10 grid) on GTX 280");
   struct Cfg {
@@ -147,9 +147,6 @@ void registerAll() {
     int Jobs;
     bool Exhaustive, Warm, Disk;
   };
-  // Registration order = run order; the warm configs must come after the
-  // cold ones they depend on (pruned_jobs8_warm primes the in-memory
-  // cache itself; disk_warm_proc2 reads what disk_cold_proc1 wrote).
   static const Cfg Cfgs[] = {
       {"exhaustive_jobs1", 1, true, false, false},
       {"pruned_jobs1", 1, false, false, false},
@@ -159,16 +156,8 @@ void registerAll() {
       {"disk_warm_proc2", 8, false, false, true},
   };
   for (const Cfg &C : Cfgs)
-    benchmark::RegisterBenchmark(
-        strFormat("search/%s", C.Name).c_str(),
-        [&C](benchmark::State &S) {
-          BM_Search(S, C.Name, C.Jobs, C.Exhaustive, C.Warm, C.Disk);
-        })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
+    runConfig(C.Name, C.Jobs, C.Exhaustive, C.Warm, C.Disk);
 }
-
-int Registered = (registerAll(), 0);
 
 const ConfigResult *find(const char *Name) {
   for (const ConfigResult &R : Results)
@@ -215,9 +204,8 @@ CompileOutput runOobSearch(bool StaticPrune, double &WallMs) {
 
 } // namespace
 
-int main(int argc, char **argv) {
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
+int main(int, char **argv) {
+  runAll();
 
   Report &Rep = Report::get();
   bool SameWinner = true;
@@ -315,10 +303,7 @@ int main(int argc, char **argv) {
               "exceed wall_ms when lanes overlap; crit_path_ms is the "
               "longest single-candidate chain");
 
-  Rep.print();
-  Rep.writeJson(Report::jsonPathFor(argv[0]));
-
   std::error_code EC;
   std::filesystem::remove_all(diskDir(), EC);
-  return SameWinner && DiskTextIdentical ? 0 : 1;
+  return Rep.finish(argv[0], SameWinner && DiskTextIdentical ? 0 : 1);
 }

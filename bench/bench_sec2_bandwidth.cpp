@@ -14,20 +14,17 @@ using namespace gpuc::bench;
 
 namespace {
 
-void BM_Bandwidth(benchmark::State &State, int VecWidth, int Which) {
+void runBandwidth(int VecWidth, int Which) {
   DeviceSpec Dev = Which == 0   ? DeviceSpec::gtx280()
                    : Which == 1 ? DeviceSpec::gtx8800()
                                 : DeviceSpec::hd5870();
   const long long Floats = 32LL << 20; // 128 MB
   Module M;
   double GBs = 0;
-  for (auto _ : State) {
-    KernelFunction *K = bandwidthCopyKernel(M, VecWidth, Floats);
-    PerfResult R = measure(Dev, *K);
-    if (R.Valid)
-      GBs = R.effectiveBandwidthGBs(2.0 * 4.0 * Floats);
-  }
-  State.counters["GBps"] = GBs;
+  KernelFunction *K = bandwidthCopyKernel(M, VecWidth, Floats);
+  PerfResult R = measure(Dev, *K);
+  if (R.Valid)
+    GBs = R.effectiveBandwidthGBs(2.0 * 4.0 * Floats);
   double Paper = 0;
   if (Which == 0)
     Paper = VecWidth == 1 ? 98 : VecWidth == 2 ? 101 : 79;
@@ -41,21 +38,13 @@ void BM_Bandwidth(benchmark::State &State, int VecWidth, int Which) {
                     Vals);
 }
 
-void registerAll() {
-  Report::get().setTitle(
-      "Section 2: sustained bandwidth by access data type");
-  const char *Names[3] = {"GTX280", "GTX8800", "HD5870"};
-  for (int Which : {0, 1, 2})
-    for (int W : {1, 2, 4})
-      benchmark::RegisterBenchmark(
-          strFormat("sec2/%s/float%d", Names[Which], W).c_str(),
-          [W, Which](benchmark::State &S) { BM_Bandwidth(S, W, Which); })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-}
-
-int Registered = (registerAll(), 0);
-
 } // namespace
 
-GPUC_BENCH_MAIN()
+int main(int, char **argv) {
+  Report::get().setTitle(
+      "Section 2: sustained bandwidth by access data type");
+  for (int Which : {0, 1, 2})
+    for (int W : {1, 2, 4})
+      runBandwidth(W, Which);
+  return Report::get().finish(argv[0]);
+}

@@ -26,128 +26,87 @@ namespace {
 
 constexpr long long FftN = 1 << 18;
 
-void report(benchmark::State &State, const char *Label, double Paper,
-            double Ms) {
+/// Simulated time of \p K on the GTX 280 model; 0 when \p K failed to
+/// build or run.
+double timeMs(const KernelFunction *K) {
+  if (!K)
+    return 0;
+  PerfResult R = measure(DeviceSpec::gtx280(), *K);
+  return R.Valid ? R.TimeMs : 0;
+}
+
+void report(const char *Label, double Paper, double Ms) {
   double Gflops = Ms > 0 ? fftFlops(FftN) / (Ms * 1e6) : 0;
-  State.counters["gflops"] = Gflops;
   Report::get().add(strFormat("%-28s", Label),
                     {{"gflops", Gflops}, {"paper_gflops", Paper}});
 }
 
-void BM_Fft2Naive(benchmark::State &State) {
-  DeviceSpec Dev = DeviceSpec::gtx280();
+double fft2NaiveMs() {
   Module M;
   DiagnosticsEngine D;
-  double Ms = 0;
-  for (auto _ : State) {
-    KernelFunction *K = parseFft2(M, FftN, D);
-    if (!K)
-      continue;
-    PerfResult R = measure(Dev, *K);
-    if (R.Valid)
-      Ms = R.TimeMs;
-  }
-  report(State, "fft2 naive (2-pt steps)", 24, Ms);
+  return timeMs(parseFft2(M, FftN, D));
 }
 
-void BM_Fft2CufftLike(benchmark::State &State) {
+double fft2CufftLikeMs() {
   // A library's fixed configuration: radix-2 with a larger block, no
   // register blocking.
-  DeviceSpec Dev = DeviceSpec::gtx280();
   Module M;
   DiagnosticsEngine D;
-  double Ms = 0;
-  for (auto _ : State) {
-    KernelFunction *K = parseFft2(M, FftN, D);
-    if (!K)
-      continue;
+  KernelFunction *K = parseFft2(M, FftN, D);
+  if (K) {
     K->launch().BlockDimX = 128;
     K->launch().GridDimX = K->workDomainX() / 128;
-    PerfResult R = measure(Dev, *K);
-    if (R.Valid)
-      Ms = R.TimeMs;
   }
-  report(State, "CUFFT-2.2-like (radix-2)", 26, Ms);
+  return timeMs(K);
 }
 
-void BM_Fft2Merged(benchmark::State &State) {
-  DeviceSpec Dev = DeviceSpec::gtx280();
+double fft2MergedMs() {
   Module M;
   DiagnosticsEngine D;
-  double Ms = 0;
-  for (auto _ : State) {
-    KernelFunction *K = parseFft2(M, FftN, D);
-    if (!K)
-      continue;
+  KernelFunction *K = parseFft2(M, FftN, D);
+  if (K) {
     // The compiler merges threads for register reuse and, per Section
     // 3.5.3, block-merges to reach enough threads per block (fft2 has no
     // half-warp-specific staging, so the block merge is launch-only).
     K->launch().BlockDimX = 128;
     K->launch().GridDimX = K->workDomainX() / 128;
     threadMerge(*K, M.context(), 4, /*AlongY=*/false);
-    PerfResult R = measure(Dev, *K);
-    if (R.Valid)
-      Ms = R.TimeMs;
   }
-  report(State, "fft2 + thread merge x4", 41, Ms);
+  return timeMs(K);
 }
 
-void BM_Fft8Naive(benchmark::State &State) {
-  DeviceSpec Dev = DeviceSpec::gtx280();
+double fft8NaiveMs() {
   Module M;
   DiagnosticsEngine D;
-  double Ms = 0;
-  for (auto _ : State) {
-    KernelFunction *K = parseFft8(M, FftN, D);
-    if (!K)
-      continue;
-    PerfResult R = measure(Dev, *K);
-    if (R.Valid)
-      Ms = R.TimeMs;
-  }
-  report(State, "fft8 naive (8-pt steps)", 44, Ms);
+  return timeMs(parseFft8(M, FftN, D));
 }
 
-void BM_Fft8Optimized(benchmark::State &State) {
-  DeviceSpec Dev = DeviceSpec::gtx280();
+double fft8OptimizedMs() {
   Module M;
   DiagnosticsEngine D;
-  double Ms = 0;
-  for (auto _ : State) {
-    KernelFunction *K = parseFft8(M, FftN, D);
-    if (!K)
-      continue;
+  KernelFunction *K = parseFft8(M, FftN, D);
+  if (K) {
     // Compiler contribution on top of the better algorithm: a wider
     // block for latency hiding plus a thread merge of 2 (register reuse
     // of the shared loop machinery).
     K->launch().BlockDimX = 128;
     K->launch().GridDimX = K->workDomainX() / 128;
     threadMerge(*K, M.context(), 2, /*AlongY=*/false);
-    PerfResult R = measure(Dev, *K);
-    if (R.Valid)
-      Ms = R.TimeMs;
   }
-  report(State, "fft8 + compiler merge", 59, Ms);
+  return timeMs(K);
 }
 
-int Registered = [] {
+} // namespace
+
+int main(int, char **argv) {
   Report::get().setTitle("Section 7: 1-D FFT case study "
                          "(2^18 complex points, GTX 280 model)");
   Report::get().addNote("paper ran 2^20 points; 2^18 keeps radix-8 stage "
                         "counts integral (shape-preserving substitution)");
-  benchmark::RegisterBenchmark("sec7/fft2_naive", BM_Fft2Naive)
-      ->Iterations(1)->Unit(benchmark::kMillisecond);
-  benchmark::RegisterBenchmark("sec7/cufft_like", BM_Fft2CufftLike)
-      ->Iterations(1)->Unit(benchmark::kMillisecond);
-  benchmark::RegisterBenchmark("sec7/fft2_merged", BM_Fft2Merged)
-      ->Iterations(1)->Unit(benchmark::kMillisecond);
-  benchmark::RegisterBenchmark("sec7/fft8_naive", BM_Fft8Naive)
-      ->Iterations(1)->Unit(benchmark::kMillisecond);
-  benchmark::RegisterBenchmark("sec7/fft8_optimized", BM_Fft8Optimized)
-      ->Iterations(1)->Unit(benchmark::kMillisecond);
-  return 0;
-}();
-
-} // namespace
-
-GPUC_BENCH_MAIN()
+  report("fft2 naive (2-pt steps)", 24, fft2NaiveMs());
+  report("CUFFT-2.2-like (radix-2)", 26, fft2CufftLikeMs());
+  report("fft2 + thread merge x4", 41, fft2MergedMs());
+  report("fft8 naive (8-pt steps)", 44, fft8NaiveMs());
+  report("fft8 + compiler merge", 59, fft8OptimizedMs());
+  return Report::get().finish(argv[0]);
+}

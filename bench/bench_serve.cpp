@@ -86,79 +86,57 @@ std::string InprocText, DaemonColdText, DaemonWarmText;
 bool DaemonOk = true;
 uint64_t WarmFastPathHits = 0;
 
-void BM_InprocCold(benchmark::State &State) {
-  for (auto _ : State) {
-    SimCache Mem;
-    ServiceContext Ctx;
-    Ctx.Mem = &Mem;
-    WallTimer T;
-    CompileResult R = runCompileJob(mmJob(), Ctx);
-    InprocColdMs = T.elapsedMs();
-    InprocText = R.Code == 0 ? R.Out : std::string();
-    State.counters["wall_ms"] = InprocColdMs;
-  }
+void runInprocCold() {
+  SimCache Mem;
+  ServiceContext Ctx;
+  Ctx.Mem = &Mem;
+  WallTimer T;
+  CompileResult R = runCompileJob(mmJob(), Ctx);
+  InprocColdMs = T.elapsedMs();
+  InprocText = R.Code == 0 ? R.Out : std::string();
 }
 
-void BM_DaemonCold(benchmark::State &State) {
-  for (auto _ : State) {
-    if (!daemon().start()) {
-      DaemonOk = false;
-      return;
-    }
+void runDaemonCold() {
+  if (!daemon().start()) {
+    DaemonOk = false;
+    return;
+  }
+  CompileResult R;
+  std::string Err;
+  WallTimer T;
+  ClientStatus St = compileViaDaemon(daemon().sock(), mmJob(), R, Err);
+  DaemonColdMs = T.elapsedMs();
+  DaemonOk = St == ClientStatus::Ok && R.Code == 0;
+  DaemonColdText = R.Out;
+}
+
+void runDaemonWarm() {
+  std::vector<double> Rtts;
+  for (int I = 0; I < WarmTrips; ++I) {
     CompileResult R;
     std::string Err;
     WallTimer T;
     ClientStatus St = compileViaDaemon(daemon().sock(), mmJob(), R, Err);
-    DaemonColdMs = T.elapsedMs();
-    DaemonOk = St == ClientStatus::Ok && R.Code == 0;
-    DaemonColdText = R.Out;
-    State.counters["rtt_ms"] = DaemonColdMs;
+    Rtts.push_back(T.elapsedMs());
+    if (St != ClientStatus::Ok || R.Code != 0)
+      DaemonOk = false;
+    DaemonWarmText = R.Out;
+    WarmFastPathHits += R.WarmFastPath ? 1 : 0;
   }
+  std::sort(Rtts.begin(), Rtts.end());
+  DaemonWarmMs = Rtts[Rtts.size() / 2]; // median
 }
-
-void BM_DaemonWarm(benchmark::State &State) {
-  for (auto _ : State) {
-    std::vector<double> Rtts;
-    for (int I = 0; I < WarmTrips; ++I) {
-      CompileResult R;
-      std::string Err;
-      WallTimer T;
-      ClientStatus St = compileViaDaemon(daemon().sock(), mmJob(), R, Err);
-      Rtts.push_back(T.elapsedMs());
-      if (St != ClientStatus::Ok || R.Code != 0)
-        DaemonOk = false;
-      DaemonWarmText = R.Out;
-      WarmFastPathHits += R.WarmFastPath ? 1 : 0;
-    }
-    std::sort(Rtts.begin(), Rtts.end());
-    DaemonWarmMs = Rtts[Rtts.size() / 2]; // median
-    State.counters["rtt_ms"] = DaemonWarmMs;
-  }
-}
-
-void registerAll() {
-  Report::get().setTitle(
-      "Daemon round-trip vs in-process: mm 256 full search on GTX 280");
-  // Registration order = run order: the warm config reuses the daemon
-  // (and the cache heat) the cold config left behind.
-  benchmark::RegisterBenchmark("serve/inproc_cold", BM_InprocCold)
-      ->Iterations(1)
-      ->Unit(benchmark::kMillisecond);
-  benchmark::RegisterBenchmark("serve/daemon_cold", BM_DaemonCold)
-      ->Iterations(1)
-      ->Unit(benchmark::kMillisecond);
-  benchmark::RegisterBenchmark("serve/daemon_warm", BM_DaemonWarm)
-      ->Iterations(1)
-      ->Unit(benchmark::kMillisecond);
-}
-
-int Registered = (registerAll(), 0);
 
 } // namespace
 
-int main(int argc, char **argv) {
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
+int main(int, char **argv) {
+  Report::get().setTitle(
+      "Daemon round-trip vs in-process: mm 256 full search on GTX 280");
+  // The warm config reuses the daemon (and the cache heat) the cold
+  // config left behind.
+  runInprocCold();
+  runDaemonCold();
+  runDaemonWarm();
 
   Report &Rep = Report::get();
   ServerStats St;
@@ -196,8 +174,6 @@ int main(int argc, char **argv) {
   Rep.addNote("gates: warm RTT >= 5x below inproc_cold, byte-identical "
               "winners on all three paths, exactly one DiskCache open");
 
-  Rep.print();
-  Rep.writeJson(Report::jsonPathFor(argv[0]));
-
-  return DaemonOk && ByteIdentical && OneOpen && SpeedupOk ? 0 : 1;
+  return Rep.finish(argv[0],
+                    DaemonOk && ByteIdentical && OneOpen && SpeedupOk ? 0 : 1);
 }

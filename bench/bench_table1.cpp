@@ -3,44 +3,24 @@
 // Table 1 of the paper lists the ten algorithms, their input sizes and
 // the lines of code of each naive kernel (the measure of how little the
 // programmer writes). This binary prints our dialect's naive-kernel LoC
-// next to the paper's, and times parsing as the benchmark body.
+// next to the paper's.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "parser/Parser.h"
 
 using namespace gpuc;
 using namespace gpuc::bench;
 
-static void BM_ParseNaive(benchmark::State &State, Algo A) {
-  const AlgoInfo &Info = algoInfo(A);
-  std::string Src = naiveSource(A, 1024);
-  int Loc = countCodeLines(Src);
-  for (auto _ : State) {
-    Module M;
-    DiagnosticsEngine D;
-    Parser P(Src, D);
-    KernelFunction *K = P.parseKernel(M);
-    benchmark::DoNotOptimize(K);
-  }
-  State.counters["our_loc"] = Loc;
-  State.counters["paper_loc"] = Info.PaperNaiveLoc;
-  Report::get().add(strFormat("%-12s %s", Info.Name, Info.PaperSizes),
-                    {{"our_loc", static_cast<double>(Loc)},
-                     {"paper_loc", static_cast<double>(Info.PaperNaiveLoc)}});
-}
-
-static void registerAll() {
+int main(int, char **argv) {
   Report::get().setTitle(
       "Table 1: algorithms, input sizes, naive-kernel lines of code");
-  for (Algo A : table1Algos())
-    benchmark::RegisterBenchmark(
-        (std::string("table1/") + algoInfo(A).Name).c_str(),
-        [A](benchmark::State &S) { BM_ParseNaive(S, A); })
-        ->Iterations(50);
+  for (Algo A : table1Algos()) {
+    const AlgoInfo &Info = algoInfo(A);
+    int Loc = countCodeLines(naiveSource(A, 1024));
+    Report::get().add(strFormat("%-12s %s", Info.Name, Info.PaperSizes),
+                      {{"our_loc", static_cast<double>(Loc)},
+                       {"paper_loc", static_cast<double>(Info.PaperNaiveLoc)}});
+  }
+  return Report::get().finish(argv[0]);
 }
-
-static int Registered = (registerAll(), 0);
-
-GPUC_BENCH_MAIN()

@@ -68,7 +68,7 @@ struct BlockRemap {
     return A00 == 1 && A01 == 0 && A10 == 0 && A11 == 1 && C0 == 0 &&
            C1 == 0;
   }
-  /// The legacy diagonal block reordering point.
+  /// The paper's diagonal block reordering point.
   bool isDiagonal() const {
     return A00 == 1 && A01 == 1 && A10 == 1 && A11 == 0 && C0 == 0 &&
            C1 == 0;

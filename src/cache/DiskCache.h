@@ -82,7 +82,9 @@ public:
   /// entries then quarantine on first touch instead of aliasing.
   // v2: kernel hashes cover the affine block remap and searches carry the
   // layout dimension (compileCacheKey bit 8).
-  static constexpr uint32_t SchemaVersion = 2;
+  // v3: bit 8 is gone, so the default key equals v2's heuristic-search
+  // key; a v2 winner stored under it may not be the layout search's.
+  static constexpr uint32_t SchemaVersion = 3;
 
   enum class Kind : uint32_t { Perf = 1, Text = 2 };
 

@@ -64,7 +64,7 @@ struct Detection {
   std::vector<CampingAccess> Camping;
 };
 
-/// The legacy pass's per-access detection at the kernel's own launch.
+/// Section 3.7's per-access detection at the kernel's own launch.
 Detection detectCamping(KernelFunction &K, const DeviceSpec &Device) {
   Detection D;
   for (const AccessInfo &A : collectGlobalAccesses(K)) {
@@ -99,9 +99,9 @@ Detection detectCamping(KernelFunction &K, const DeviceSpec &Device) {
   return D;
 }
 
-/// The legacy 1-D arm: rotate the reduction index of EVERY access driven
-/// by a camping access's full-row loop by (PartitionBytes/4)*bidx, mod the
-/// row length (Figure 9b). All-or-nothing: if any such access cannot be
+/// Figure 9b's 1-D remedy: rotate the reduction index of EVERY access
+/// driven by a camping access's full-row loop by (PartitionBytes/4)*bidx,
+/// mod the row length. All-or-nothing: if any such access cannot be
 /// rotated safely, the whole rewrite is abandoned. \returns true when the
 /// rotation was applied.
 bool applyOffsetRotation(KernelFunction &K, ASTContext &Ctx,
@@ -298,8 +298,8 @@ std::vector<LayoutPoint> gpuc::enumerateLayouts(const KernelFunction &K,
   const LaunchConfig &L = K.launch();
   using Kind = LayoutPoint::Kind;
   if (L.GridDimY > 1) {
-    // 2-D grids: block-id permutations. The legacy diagonal (skew ∘ swap)
-    // leads so ties between equally-scored decorrelations keep the
+    // 2-D grids: block-id permutations. The paper's diagonal (skew ∘
+    // swap) leads so ties between equally-scored decorrelations keep the
     // paper's transform.
     if (L.GridDimX == L.GridDimY) {
       Pts.push_back(
@@ -335,10 +335,8 @@ PartitionCampResult gpuc::applyLayout(KernelFunction &K, ASTContext &Ctx,
   case LayoutPoint::Kind::Identity:
     break;
   case LayoutPoint::Kind::OffsetRotation:
-    // Detection-gated exactly like the legacy 1-D arm: without camping
-    // (or on a 2-D grid) the point degrades to the identity, so a
-    // rotation candidate can never diverge from what the legacy pass
-    // would have produced at the same design point.
+    // Detection-gated like the paper's 1-D remedy: without camping (or
+    // on a 2-D grid) the point degrades to the identity.
     if (D.Detected && K.launch().GridDimY == 1)
       R.AppliedOffset = applyOffsetRotation(K, Ctx, Device, D);
     break;
@@ -356,4 +354,18 @@ bool gpuc::installRemap(KernelFunction &K, const LayoutPoint &P) {
     return false;
   K.launch().Remap = P.Remap;
   return true;
+}
+
+LayoutPoint gpuc::paperLayoutPoint(KernelFunction &K,
+                                   const DeviceSpec &Device) {
+  if (!detectCamping(K, Device).Detected)
+    return LayoutPoint::identityPoint();
+  const LaunchConfig &L = K.launch();
+  if (L.GridDimY == 1)
+    return LayoutPoint::offsetRotation();
+  // The diagonal reordering needs a square grid to be a bijection.
+  if (L.GridDimX == L.GridDimY)
+    return LayoutPoint::makeRemap(LayoutPoint::Kind::Diagonal,
+                                  BlockRemap::diagonal());
+  return LayoutPoint::identityPoint();
 }

@@ -6,12 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Generalized affine layout selection, subsuming Section 3.7's two ad-hoc
-/// partition-camping remedies. Following Bouverot-Dupuis & Sheeran
-/// ("Efficient GPU Implementation of Affine Index Permutations on Arrays"),
-/// both the per-block address offset (Figure 9b) and the diagonal block
-/// reordering [Ruetsch & Micikevicius] are points of one bounded family of
-/// affine index-space permutations:
+/// Affine layout selection, subsuming Section 3.7's two partition-camping
+/// remedies. Following Bouverot-Dupuis & Sheeran ("Efficient GPU
+/// Implementation of Affine Index Permutations on Arrays"), both the
+/// per-block address offset (Figure 9b) and the diagonal block reordering
+/// [Ruetsch & Micikevicius] are points of one bounded family of affine
+/// index-space permutations:
 ///
 ///   - block-id remaps: ebid = (A*bid + C) mod grid, with A drawn from
 ///     {identity, row/column swap, diagonal skews, their compositions} and
@@ -22,13 +22,13 @@
 ///     order (so float reductions are only ULP-comparable) but not the
 ///     set of touched elements.
 ///
-/// The family is enumerated as an extra dimension of the design-space
-/// search (core/Compiler with CompileOptions::LayoutSearch); every point
-/// is scored by the full analytical model — coalescing, partition
-/// queueing and bank conflicts together, via sim/MemoryModel + sim/Timing
-/// — simply by simulating the transformed variant. The legacy pass
-/// (core/PartitionCamp) delegates here: its offset and diagonal arms are
-/// applyLayout on the corresponding family points.
+/// The design-space search (core/Compiler) enumerates the family as its
+/// outermost dimension; every point is scored by the full analytical
+/// model — coalescing, partition queueing and bank conflicts together, via
+/// sim/MemoryModel + sim/Timing — simply by simulating the transformed
+/// variant. A compile at fixed merge factors applies the paper's own
+/// one-shot choice instead (paperLayoutPoint), which is one of the
+/// family's points.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,13 +36,20 @@
 #define GPUC_CORE_AFFINELAYOUT_H
 
 #include "ast/Kernel.h"
-#include "core/PartitionCamp.h"
 #include "sim/DeviceSpec.h"
 
 #include <string>
 #include <vector>
 
 namespace gpuc {
+
+/// What the partition-camping stage detected and applied (reports).
+struct PartitionCampResult {
+  bool Detected = false;
+  bool AppliedOffset = false;   // 1-D grid: address-offset insertion
+  bool AppliedDiagonal = false; // 2-D grid: block-id remapping
+  int CampingAccesses = 0;
+};
 
 /// One point of the bounded affine layout family.
 struct LayoutPoint {
@@ -92,7 +99,7 @@ struct CampingAnalysis {
   bool Detected = false;
   /// Camping at some scaled stride (a candidate block-merge factor).
   bool PotentialAtMerge = false;
-  /// Accesses camping at scale 1 (the legacy pass's count).
+  /// Accesses camping at scale 1.
   int CampingAccesses = 0;
   /// Some camping access sweeps a full row with a unit-coefficient loop —
   /// the precondition for the offset rotation.
@@ -144,12 +151,18 @@ bool installRemap(KernelFunction &K, const LayoutPoint &P);
 /// Applies one family point to \p K: installs the block remap (after
 /// re-checking legality on K's actual grid — an illegal point degrades to
 /// the identity) or performs the address-offset rotation (detection-gated
-/// exactly like the legacy pass: rotation only fires on a 1-D grid whose
-/// camping accesses sweep full rows). \returns the legacy-shaped result
-/// for report compatibility.
+/// like Section 3.7's remedy: the rotation only fires on a 1-D grid whose
+/// camping accesses sweep full rows). \returns what the stage detected
+/// and applied.
 PartitionCampResult applyLayout(KernelFunction &K, ASTContext &Ctx,
                                 const DeviceSpec &Device,
                                 const LayoutPoint &P);
+
+/// Section 3.7's one-shot remedy as a family point: the offset rotation on
+/// a camping 1-D grid, the diagonal on a camping square 2-D grid, and the
+/// identity otherwise (camping on a non-square 2-D grid is reported but
+/// left in place). compileVariant applies it when given no point.
+LayoutPoint paperLayoutPoint(KernelFunction &K, const DeviceSpec &Device);
 
 } // namespace gpuc
 

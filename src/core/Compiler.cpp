@@ -88,10 +88,6 @@ uint64_t gpuc::compileCacheKey(const KernelFunction &Naive,
   // Pruning provably never changes the winner (test-enforced), but keying
   // on it is free and keeps the entry's provenance unambiguous.
   Flags |= Opt.ExhaustiveSearch ? 1u << 7 : 0;
-  // The layout dimension changes which variants compete, so the winner
-  // of a layout search must never be served to a legacy-heuristic caller
-  // (or vice versa).
-  Flags |= Opt.LayoutSearch ? 1u << 8 : 0;
   return hashCombine(H, Flags);
 }
 
@@ -186,14 +182,14 @@ KernelFunction *GpuCompiler::compileVariant(const KernelFunction &Naive,
   }
 
   // Camping rotation must precede prefetch (see header note). The scan
-  // runs before any layout is applied: it sees the variant exactly as the
-  // legacy heuristic would, plus the scaled strides merging could create.
+  // runs before any layout is applied: it sees the variant's own strides
+  // plus the scaled strides merging could create.
   PartitionCampResult Camp;
   if (Opt.PartitionElim) {
     if (ScanOut)
       *ScanOut = analyzeCamping(*V, Opt.Device, {8, 16, 32});
-    Camp = Layout ? applyLayout(*V, Ctx, Opt.Device, *Layout)
-                  : eliminatePartitionCamping(*V, Ctx, Opt.Device);
+    Camp = applyLayout(*V, Ctx, Opt.Device,
+                       Layout ? *Layout : paperLayoutPoint(*V, Opt.Device));
     Stage("partition-camping");
   }
   if (CampOut)
@@ -239,18 +235,15 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
 
   // Probe the merge plan with a unit variant (built in the caller's
   // module, as always — single-variant compilations are unaffected by the
-  // search machinery below). In layout mode the probe is compiled with the
-  // explicit identity point — same output as the legacy heuristic when no
-  // camping is detected — and additionally scans for camping at the
-  // candidate block-merge strides, which gates the family enumeration.
-  const bool LayoutMode = Opt.LayoutSearch && Opt.PartitionElim;
+  // search machinery below). The probe is the identity point and also
+  // scans for camping at the candidate block-merge strides, which gates
+  // the family enumeration.
   const LayoutPoint Identity = LayoutPoint::identityPoint();
   CampingAnalysis Scan;
   bool ProbeViolation = false;
   KernelFunction *Probe = compileVariant(
       Naive, Opt, /*BlockN=*/1, /*ThreadM=*/1, &Out.Plan, &Out.Camping,
-      LayoutMode ? &Identity : nullptr, LayoutMode ? &Scan : nullptr,
-      Opt.StaticPrune ? &ProbeViolation : nullptr);
+      &Identity, &Scan, Opt.StaticPrune ? &ProbeViolation : nullptr);
   if (!Probe || Diags.hasErrors()) {
     Out.Log += "probe compilation failed\n";
     return Out;
@@ -265,12 +258,11 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
   if (Opt.Merge && Out.Plan.anyThreadMerge())
     ThreadMs = {1, 4, 8, 16, 32};
 
-  // The affine layout dimension (outermost). Camping-free kernels get the
-  // identity alone, so their candidate set — and their search cost — is
-  // unchanged by layout mode.
-  std::vector<LayoutPoint> Layouts{LayoutPoint::identityPoint()};
-  if (LayoutMode)
-    Layouts = enumerateLayouts(*Probe, Opt.Device, Scan);
+  // The affine layout dimension (outermost). Camping-free kernels, and
+  // every kernel with PartitionElim off (the scan never runs), get the
+  // identity alone, so their candidate set is the merge factors alone.
+  const std::vector<LayoutPoint> Layouts =
+      enumerateLayouts(*Probe, Opt.Device, Scan);
 
   // One slot per candidate in canonical (layout outer, then N, then M)
   // order. Every search result is keyed by slot, every decision reads
@@ -382,8 +374,7 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
       C.Owner = std::make_shared<Module>();
       GpuCompiler TaskCompiler(*C.Owner, C.TaskDiags);
       C.Kernel = TaskCompiler.compileVariant(
-          Naive, Opt, C.N, C.Mm, nullptr, &C.Camp,
-          LayoutMode ? &C.Layout : nullptr, nullptr,
+          Naive, Opt, C.N, C.Mm, nullptr, &C.Camp, &C.Layout, nullptr,
           Opt.StaticPrune ? &C.Violation : nullptr);
     }
     C.CompileWallMs = CompileTimer.elapsedMs();
@@ -516,8 +507,8 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
   for (Candidate &C : Cands) {
     if (!C.Kernel)
       continue;
-    // Keep the legacy log format for legacy-shaped searches; tag the
-    // layout only when the family was actually enumerated.
+    // One-point searches keep the untagged log format; tag the layout
+    // only when the family was actually enumerated.
     const std::string Tag =
         Layouts.size() > 1
             ? strFormat("%s b%d t%d", C.Layout.name(), C.N, C.Mm)
@@ -568,7 +559,7 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
   // The probe's camping result only reflects the identity point; fold in
   // what the winning candidate actually detected and applied (merging can
   // create camping the probe never saw).
-  if (LayoutMode && Out.BestVariant.Feasible) {
+  if (Out.BestVariant.Feasible) {
     Out.Camping.Detected |= BestCamp.Detected;
     Out.Camping.AppliedOffset |= BestCamp.AppliedOffset;
     Out.Camping.AppliedDiagonal |= BestCamp.AppliedDiagonal;

@@ -25,7 +25,6 @@
 #include "core/AffineLayout.h"
 #include "core/DataSharing.h"
 #include "core/Fusion.h"
-#include "core/PartitionCamp.h"
 #include "sim/Simulator.h"
 #include "support/Diagnostics.h"
 
@@ -70,17 +69,13 @@ struct CompileOptions {
   bool Coalesce = true;
   bool Merge = true;
   bool Prefetch = true;
+  /// Partition-camping elimination (Section 3.7). The search treats the
+  /// bounded affine layout family (core/AffineLayout) as its outermost
+  /// dimension, scoring every point with the full analytical model; the
+  /// family is only enumerated when camping is detected or possible under
+  /// block merging, so camping-free kernels search the identity alone.
+  /// Off: the stage never runs and every search is identity-only.
   bool PartitionElim = true;
-  /// Search the bounded affine layout family (core/AffineLayout) as an
-  /// extra — outermost — dimension of the design space, scoring every
-  /// enumerated index-space permutation with the full analytical model
-  /// instead of applying the legacy partition-camping heuristic. Off:
-  /// candidates run the legacy eliminatePartitionCamping arm (kept for
-  /// the bench baseline and Figure 12 dissection). Ignored when
-  /// PartitionElim is off. The family is only enumerated when camping is
-  /// detected or possible under block merging, so camping-free kernels
-  /// search the identity alone and pay nothing.
-  bool LayoutSearch = true;
   /// Algebraic cleanup of the emitted code (understandability).
   bool Fold = true;
   /// Re-verify structural invariants after the pipeline (violations are
@@ -225,9 +220,9 @@ struct SearchStats {
   int FusionLegal = 0;
   int FusionRejected = 0;
   int FusionWins = 0;
-  /// Affine-layout counters (CompileOptions::LayoutSearch): how many
-  /// family points this search enumerated (1 = identity only: no camping
-  /// anywhere in the candidate set) and whether a non-identity point won.
+  /// Affine-layout counters: how many family points this search
+  /// enumerated (1 = identity only: no camping anywhere in the candidate
+  /// set, or PartitionElim off) and whether a non-identity point won.
   int LayoutPoints = 0;
   int LayoutWins = 0;
 };
@@ -306,12 +301,12 @@ public:
   GpuCompiler(Module &M, DiagnosticsEngine &Diags) : M(M), Diags(Diags) {}
 
   /// Builds one optimized variant with fixed merge factors. \p BlockN and
-  /// \p ThreadM of 1 disable the respective merge. When \p Layout is set
-  /// the partition-camping stage applies that affine family point
-  /// (core/AffineLayout) instead of the legacy heuristic; \p ScanOut, when
-  /// set, receives the camping analysis taken at that stage (with the
-  /// block-merge scale factors probed), which is what gates the layout
-  /// enumeration. \p ViolationOut, when set, receives the dataflow
+  /// \p ThreadM of 1 disable the respective merge. The partition-camping
+  /// stage applies the affine family point \p Layout (core/AffineLayout),
+  /// or paperLayoutPoint's choice when \p Layout is null; \p ScanOut,
+  /// when set, receives the camping analysis taken at that stage (with
+  /// the block-merge scale factors probed), which is what gates the
+  /// layout enumeration. \p ViolationOut, when set, receives the dataflow
   /// engine's anyViolation() verdict on the finished kernel: the Verify
   /// step's own engine run when Verify is on, one extra run otherwise.
   /// \returns null on failure.

@@ -37,7 +37,7 @@ std::string gpuc::planReport(const CompileOutput &Out) {
                               ? "address offset inserted"
                               : "not eliminable";
     // A layout-search winner can decorrelate with a family point the
-    // legacy pass never tried (swap, skew, shift).
+    // paper's heuristic never applies (swap, skew, shift).
     if (Outcome == "not eliminable" && Out.BestVariant.Layout &&
         std::string(Out.BestVariant.Layout) != "identity")
       Outcome = strFormat("%s block remap applied", Out.BestVariant.Layout);

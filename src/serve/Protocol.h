@@ -107,7 +107,8 @@ enum JobFlags : uint32_t {
   JF_Merge = 1u << 2,
   JF_Prefetch = 1u << 3,
   JF_PartitionElim = 1u << 4,
-  JF_LayoutSearch = 1u << 5,
+  // Bit 5 is retired: never reuse it or renumber the bits after it. Old
+  // clients may still set it; the daemon ignores bits it does not read.
   JF_Fold = 1u << 6,
   JF_StaticPrune = 1u << 7,
   JF_Exhaustive = 1u << 8,

@@ -41,7 +41,6 @@ bool gpuc::serve::optionsFromJob(const CompileJob &J,
   Out.Merge = (J.Flags & JF_Merge) != 0;
   Out.Prefetch = (J.Flags & JF_Prefetch) != 0;
   Out.PartitionElim = (J.Flags & JF_PartitionElim) != 0;
-  Out.LayoutSearch = (J.Flags & JF_LayoutSearch) != 0;
   Out.Fold = (J.Flags & JF_Fold) != 0;
   Out.StaticPrune = (J.Flags & JF_StaticPrune) != 0;
   Out.ExhaustiveSearch = (J.Flags & JF_Exhaustive) != 0;

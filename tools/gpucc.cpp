@@ -66,10 +66,6 @@ void usage() {
       "  --block=N --thread=M      fixed merge factors (skips the search)\n"
       "  --no-vectorize --no-coalesce --no-merge --no-prefetch\n"
       "  --no-partition --no-fold  disable pipeline stages\n"
-      "  --no-layout-search        apply the legacy partition-camping\n"
-      "                            heuristic instead of searching the\n"
-      "                            affine layout family (--report shows\n"
-      "                            the searched points and the winner)\n"
       "  --report                  print the analysis report to stderr\n"
       "  --validate                run naive and optimized kernels on the\n"
       "                            simulator and compare outputs\n"
@@ -197,7 +193,6 @@ constexpr FlagOption FlagOptions[] = {
     {"--no-merge", serve::JF_Merge, false},
     {"--no-prefetch", serve::JF_Prefetch, false},
     {"--no-partition", serve::JF_PartitionElim, false},
-    {"--no-layout-search", serve::JF_LayoutSearch, false},
     {"--no-fold", serve::JF_Fold, false},
     {"--no-prune", serve::JF_Exhaustive, true},
     {"--report", serve::JF_Report, true},
