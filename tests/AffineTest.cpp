@@ -233,11 +233,13 @@ TEST(BlockRemap, LegalImpliesBijectiveOnEveryGrid) {
       {1, 1}, {2, 2}, {4, 4}, {5, 5}, {6, 6},
       {8, 1}, {1, 8}, {4, 8}, {6, 4}, {3, 9}};
   for (const BlockRemap &R : smallRemaps())
-    for (auto [GX, GY] : Grids)
-      if (remapLegal(R, GX, GY))
+    for (auto [GX, GY] : Grids) {
+      if (remapLegal(R, GX, GY)) {
         EXPECT_TRUE(bijectiveByApplication(R, GX, GY))
             << R.A00 << " " << R.A01 << " / " << R.A10 << " " << R.A11
             << " + (" << R.C0 << "," << R.C1 << ") on " << GX << "x" << GY;
+      }
+    }
 }
 
 TEST(BlockRemap, LegalIffBijectiveOnSquareGrids) {
@@ -369,9 +371,10 @@ TEST(LayoutEnumeration, NonSquareGridsSkipSwapAndDiagonal) {
     EXPECT_NE(Pt.K, LayoutPoint::Kind::Swap);
     EXPECT_NE(Pt.K, LayoutPoint::Kind::Diagonal);
     // Whatever is enumerated must be legal on the kernel's own grid.
-    if (Pt.pureRemap())
+    if (Pt.pureRemap()) {
       EXPECT_TRUE(remapLegal(Pt.Remap, K->launch().GridDimX,
                              K->launch().GridDimY))
           << Pt.name();
+    }
   }
 }
