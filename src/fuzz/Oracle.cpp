@@ -13,42 +13,31 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <map>
 
 using namespace gpuc;
 
-namespace {
-
-/// The shared LCG fill: one continuing \p State across every buffer, so
-/// a fixed allocation order fixes every byte.
-void fillParamBuffer(const ParamDecl &P, BufferSet &Buffers,
-                     unsigned &State) {
-  auto &V = Buffers.alloc(P.Name, static_cast<size_t>(P.elemCount()) *
-                                      P.ElemTy.vectorWidth());
-  for (float &X : V) {
-    State = State * 1664525u + 1013904223u;
-    X = static_cast<float>(State >> 20) / 4096.0f - 0.5f;
-  }
-}
-
-} // namespace
-
 void gpuc::fillFuzzInputs(const KernelFunction &K, BufferSet &Buffers,
                           unsigned Seed) {
-  unsigned State = Seed ? Seed : 1u;
-  for (const ParamDecl &P : K.params())
-    if (P.IsArray)
-      fillParamBuffer(P, Buffers, State);
+  fillPipelineFuzzInputs({&K}, Buffers, Seed);
 }
 
 void gpuc::fillPipelineFuzzInputs(
     const std::vector<const KernelFunction *> &Stages, BufferSet &Buffers,
     unsigned Seed) {
+  // One LCG continues across every buffer, so a fixed allocation order
+  // fixes every byte.
   unsigned State = Seed ? Seed : 1u;
   for (const KernelFunction *K : Stages)
-    for (const ParamDecl &P : K->params())
-      if (P.IsArray && !Buffers.has(P.Name))
-        fillParamBuffer(P, Buffers, State);
+    for (const ParamDecl &P : K->params()) {
+      if (!P.IsArray || Buffers.has(P.Name))
+        continue;
+      auto &V = Buffers.alloc(P.Name, static_cast<size_t>(P.elemCount()) *
+                                          P.ElemTy.vectorWidth());
+      for (float &X : V) {
+        State = State * 1664525u + 1013904223u;
+        X = static_cast<float>(State >> 20) / 4096.0f - 0.5f;
+      }
+    }
 }
 
 bool gpuc::kernelHasFloatArith(const KernelFunction &K) {
@@ -91,21 +80,26 @@ long long gpuc::ulpDistance(float A, float B) {
 
 namespace {
 
+using Chain = std::vector<const KernelFunction *>;
+
+/// Float tolerances: an element of a kernel with float arithmetic passes
+/// within either bound. Data-movement-only kernels must match bit-exactly.
+constexpr long long UlpBound = 256;
+constexpr double RelBound = 1e-4;
+
 /// Per-element acceptance for one output array.
 struct Comparator {
   bool Exact;
-  int UlpTol;
-  double RelTol;
 
   bool accept(float Want, float Got) const {
     if (std::memcmp(&Want, &Got, sizeof(float)) == 0)
       return true;
     if (Exact)
       return false;
-    if (ulpDistance(Want, Got) <= UlpTol)
+    if (ulpDistance(Want, Got) <= UlpBound)
       return true;
     double Denom = std::max(1.0, static_cast<double>(std::fabs(Want)));
-    return std::fabs(static_cast<double>(Want) - Got) / Denom <= RelTol;
+    return std::fabs(static_cast<double>(Want) - Got) / Denom <= RelBound;
   }
 };
 
@@ -146,56 +140,24 @@ std::string describeRaces(const RaceLog &Races) {
   return S;
 }
 
-/// Runs \p K functionally against fresh seeded buffers. \returns false on
-/// an execution error (message in \p Detail) and surfaces races.
-bool runVariant(const Simulator &Sim, const KernelFunction &K,
-                unsigned InputSeed, bool CheckRaces, BufferSet &Buffers,
-                std::string &Detail, bool &Raced) {
-  fillFuzzInputs(K, Buffers, InputSeed);
-  DiagnosticsEngine RunDiags;
+/// One race-logged run of a kernel chain on fresh seeded inputs.
+struct Run {
+  bool Ok = false;
+  BufferSet Buffers;
   RaceLog Races;
-  bool Ok = Sim.runFunctional(K, Buffers, RunDiags,
-                              CheckRaces ? &Races : nullptr);
-  Raced = CheckRaces && !Races.clean();
-  if (!Ok)
-    Detail = RunDiags.str();
-  else if (Raced)
-    Detail = describeRaces(Races);
-  return Ok;
-}
+  std::string Diags;
+};
 
-/// Re-compiles one variant with a snapshot hook and blames the first
-/// stage whose intermediate kernel diverges from the reference outputs
-/// (or fails to run / races, matching the original failure mode).
-std::string attributeStage(const KernelFunction &Naive,
-                           const OracleOptions &Opt, int BlockN, int ThreadM,
-                           const Simulator &Sim, const BufferSet &Ref,
-                           const Comparator &Cmp) {
-  Module CompileM;
-  Module SnapM; // snapshots survive the pipeline mutating the variant
+/// Runs \p Kernels in order on \p Sim against one buffer set seeded from
+/// the array parameters of \p Inputs. A single kernel is a chain of one.
+Run runChain(const Simulator &Sim, const Chain &Inputs, const Chain &Kernels,
+             unsigned Seed) {
+  Run R;
+  fillPipelineFuzzInputs(Inputs, R.Buffers, Seed);
   DiagnosticsEngine Diags;
-  GpuCompiler GC(CompileM, Diags);
-
-  std::vector<std::pair<std::string, KernelFunction *>> Snaps;
-  CompileOptions O = Opt.Compile;
-  O.Hook = [&](const char *Stage, KernelFunction &K, bool Final) {
-    if (Opt.Inject)
-      Opt.Inject(Stage, K, Final);
-    Snaps.emplace_back(Stage, cloneKernel(SnapM, &K, K.name()));
-  };
-  GC.compileVariant(Naive, O, BlockN, ThreadM);
-
-  for (const auto &[Stage, Snap] : Snaps) {
-    BufferSet Buffers;
-    std::string Detail;
-    bool Raced = false;
-    bool Ok = runVariant(Sim, *Snap, Opt.InputSeed, Opt.CheckRaces, Buffers,
-                         Detail, Raced);
-    OracleFailure Scratch;
-    if (!Ok || Raced || !compareOutputs(Naive, Ref, Buffers, Cmp, Scratch))
-      return Stage;
-  }
-  return "unattributed";
+  R.Ok = Sim.runPipelineFunctional(Kernels, R.Buffers, Diags, &R.Races);
+  R.Diags = Diags.str();
+  return R;
 }
 
 /// Static classification of one kernel for the --check-static
@@ -245,85 +207,41 @@ bool bufferBitEqual(const std::string &Name, const BufferSet &BufS,
   return false;
 }
 
-/// Runs \p K with both interpreter engines on identical seeded inputs and
-/// demands equal outcomes, bit-identical buffers and a record-identical
-/// race log. \returns false with \p Detail filled on divergence.
-bool crossCheckInterp(const Simulator &Sim, const KernelFunction &K,
-                      unsigned InputSeed, std::string &Detail) {
-  Simulator Scalar(Sim.device());
-  Scalar.setInterpBackend(InterpBackend::Scalar);
-  Simulator Vector(Sim.device());
-  Vector.setInterpBackend(InterpBackend::Vector);
-
-  BufferSet BufS, BufV;
-  fillFuzzInputs(K, BufS, InputSeed);
-  fillFuzzInputs(K, BufV, InputSeed);
-  DiagnosticsEngine DiagS, DiagV;
-  RaceLog RaceS, RaceV;
-  bool OkS = Scalar.runFunctional(K, BufS, DiagS, &RaceS);
-  bool OkV = Vector.runFunctional(K, BufV, DiagV, &RaceV);
-  if (OkS != OkV) {
-    Detail = strFormat("engines disagree on outcome: scalar %s, vector %s\n",
-                       OkS ? "ok" : "error", OkV ? "ok" : "error") +
-             DiagS.str() + DiagV.str();
-    return false;
-  }
-  if (!OkS)
-    return true; // both faulted; the result is discarded either way
-  for (const ParamDecl &P : K.params()) {
-    if (!P.IsArray)
-      continue;
-    if (!bufferBitEqual(P.Name, BufS, BufV, Detail))
-      return false;
-  }
-  if (!sameRaceLog(RaceS, RaceV)) {
-    Detail = "race logs diverge:\nscalar:\n" + describeRaces(RaceS) +
-             "vector:\n" + describeRaces(RaceV) +
-             strFormat("(%zu vs %zu records, %d vs %d phases)",
-                       RaceS.Races.size(), RaceV.Races.size(), RaceS.Phases,
-                       RaceV.Phases);
-    return false;
-  }
-  return true;
-}
-
-/// Pipeline analogue of crossCheckInterp: both engines run the whole
-/// unfused naive chain on identical seeded inputs and must agree on the
-/// outcome, every stage buffer bit-for-bit, and the chain-wide race log.
-bool crossCheckInterpPipeline(
-    const Simulator &Sim, const std::vector<const KernelFunction *> &Stages,
-    unsigned InputSeed, std::string &Detail) {
-  Simulator Scalar(Sim.device());
-  Scalar.setInterpBackend(InterpBackend::Scalar);
-  Simulator Vector(Sim.device());
-  Vector.setInterpBackend(InterpBackend::Vector);
-
-  BufferSet BufS, BufV;
-  fillPipelineFuzzInputs(Stages, BufS, InputSeed);
-  fillPipelineFuzzInputs(Stages, BufV, InputSeed);
-  DiagnosticsEngine DiagS, DiagV;
-  RaceLog RaceS, RaceV;
-  bool OkS = Scalar.runPipelineFunctional(Stages, BufS, DiagS, &RaceS);
-  bool OkV = Vector.runPipelineFunctional(Stages, BufV, DiagV, &RaceV);
-  if (OkS != OkV) {
-    Detail = strFormat("engines disagree on chain outcome: scalar %s, "
-                       "vector %s\n",
-                       OkS ? "ok" : "error", OkV ? "ok" : "error") +
-             DiagS.str() + DiagV.str();
-    return false;
-  }
-  if (!OkS)
-    return true;
-  for (const KernelFunction *K : Stages)
+/// The engine differential: reruns \p Kernels on the interpreter engine
+/// \p Sim does not use and demands the outcome, every buffer bit for bit
+/// and the race log record for record of \p Mine, the run on \p Sim.
+/// \returns the divergence, or "" when the engines agree.
+std::string engineDivergence(const Simulator &Sim, const Chain &Inputs,
+                             const Chain &Kernels, unsigned Seed,
+                             const Run &Mine) {
+  bool MineScalar = Sim.interpBackend() == InterpBackend::Scalar;
+  Simulator Other(Sim.device());
+  Other.setInterpBackend(MineScalar ? InterpBackend::Vector
+                                    : InterpBackend::Scalar);
+  Run Theirs = runChain(Other, Inputs, Kernels, Seed);
+  const Run &S = MineScalar ? Mine : Theirs;
+  const Run &V = MineScalar ? Theirs : Mine;
+  const char *Of = Kernels.size() > 1 ? "chain " : "";
+  if (S.Ok != V.Ok)
+    return strFormat("engines disagree on %soutcome: scalar %s, vector %s\n",
+                     Of, S.Ok ? "ok" : "error", V.Ok ? "ok" : "error") +
+           S.Diags + V.Diags;
+  if (!S.Ok)
+    return ""; // both faulted; the run is judged on its fault
+  std::string Detail;
+  for (const KernelFunction *K : Kernels)
     for (const ParamDecl &P : K->params())
-      if (P.IsArray && !bufferBitEqual(P.Name, BufS, BufV, Detail))
-        return false;
-  if (!sameRaceLog(RaceS, RaceV)) {
-    Detail = "chain race logs diverge:\nscalar:\n" + describeRaces(RaceS) +
-             "vector:\n" + describeRaces(RaceV);
-    return false;
-  }
-  return true;
+      if (P.IsArray && !bufferBitEqual(P.Name, S.Buffers, V.Buffers, Detail))
+        return Detail;
+  if (sameRaceLog(S.Races, V.Races))
+    return "";
+  Detail = std::string(Of) + "race logs diverge:\nscalar:\n" +
+           describeRaces(S.Races) + "vector:\n" + describeRaces(V.Races);
+  if (Kernels.size() == 1)
+    Detail += strFormat("(%zu vs %zu records, %d vs %d phases)",
+                        S.Races.Races.size(), V.Races.Races.size(),
+                        S.Races.Phases, V.Races.Phases);
+  return Detail;
 }
 
 StaticClass classifyStatic(const KernelFunction &K) {
@@ -349,81 +267,168 @@ StaticClass classifyStatic(const KernelFunction &K) {
   return C;
 }
 
-} // namespace
+/// The sanitizer half of a judgment: a fault is a RunError, then (when
+/// \p CheckRaces) a shared-memory race is a Race. \returns false with
+/// \p F's kind and detail filled.
+bool sanitizerClean(const Run &R, bool CheckRaces, OracleFailure &F) {
+  if (R.Ok && (!CheckRaces || R.Races.clean()))
+    return true;
+  F.FailKind =
+      !R.Ok ? OracleFailure::Kind::RunError : OracleFailure::Kind::Race;
+  F.Detail = !R.Ok ? R.Diags : describeRaces(R.Races);
+  return false;
+}
 
-OracleResult gpuc::runOracle(Module &M, const KernelFunction &Naive,
-                             const OracleOptions &Opt) {
-  OracleResult Res;
-  Simulator Sim(Opt.Compile.Device);
-  Sim.setInterpBackend(Opt.Compile.Interp);
-
-  StaticClass SC;
-  if (Opt.CheckStatic)
-    SC = classifyStatic(Naive);
-
-  if (Opt.CheckInterp) {
-    std::string Detail;
-    if (!crossCheckInterp(Sim, Naive, Opt.InputSeed, Detail)) {
-      OracleFailure F;
-      F.FailKind = OracleFailure::Kind::InterpDivergence;
-      F.Variant = "naive";
-      F.Stage = "interp";
-      F.Detail = Detail;
-      Res.Failures.push_back(F);
-      Res.Passed = false;
-      return Res;
-    }
+/// One oracle case: the naive chain, the engine every run uses and the
+/// reference every check is judged against. All three oracles send each
+/// kernel or chain they check through check(): one race-logged run on the
+/// oracle's engine, the engine differential when asked for, and one
+/// judgment against the reference.
+class OracleCase {
+public:
+  OracleCase(const OracleOptions &Opt, OracleResult &Res, Chain Naive)
+      : Opt(Opt), Res(Res), Naive(std::move(Naive)), Sim(Opt.Compile.Device) {
+    Sim.setInterpBackend(Opt.Compile.Interp);
   }
 
-  // Reference: the naive kernel's own outputs on the seeded inputs. Under
-  // --check-static the naive run is itself race-checked, since the static
-  // claim being audited covers race-freedom too.
-  BufferSet Ref;
-  {
-    fillFuzzInputs(Naive, Ref, Opt.InputSeed);
-    DiagnosticsEngine RunDiags;
-    RaceLog NaiveRaces;
-    bool WantRaces = Opt.CheckStatic && Opt.CheckRaces;
-    bool Ok = Sim.runFunctional(Naive, Ref, RunDiags,
-                                WantRaces ? &NaiveRaces : nullptr);
-    bool Raced = WantRaces && !NaiveRaces.clean();
-    if (!Ok || Raced) {
-      OracleFailure F;
-      F.Variant = "naive";
-      F.Stage = "input";
-      if (Opt.CheckStatic && SC.Clean) {
+  void fail(OracleFailure F) {
+    Res.Failures.push_back(std::move(F));
+    Res.Passed = false;
+  }
+
+  /// The reference step: runs the naive chain, engine-checks it, and
+  /// judges it on its own — a fault, or a race when \p CheckRaces, fails
+  /// the case. \p SC (under --check-static) turns a verdict that refutes
+  /// the static classification into StaticUnsound. \returns false after
+  /// recording the failure under variant \p Variant.
+  bool reference(const char *Variant, bool CheckRaces,
+                 const StaticClass *SC) {
+    Ref = runChain(Sim, Naive, Naive, Opt.InputSeed);
+    OracleFailure F;
+    F.Variant = Variant;
+    F.Stage = "interp";
+    if (!enginesAgree(Naive, Ref, F)) {
+      fail(F);
+      return false;
+    }
+    F.Stage = "input";
+    if (!sanitizerClean(Ref, CheckRaces, F)) {
+      if (SC && SC->Clean) {
         // The engine proved this kernel in-bounds, barrier-uniform and
         // race-free; the dynamic sanitizer disagrees. Unsound analysis.
         F.FailKind = OracleFailure::Kind::StaticUnsound;
         F.Stage = "static";
         F.Detail = "statically clean kernel failed the dynamic sanitizer "
-                   "(" + SC.Desc + "):\n" +
-                   (!Ok ? RunDiags.str() : describeRaces(NaiveRaces));
-      } else {
-        F.FailKind = !Ok ? OracleFailure::Kind::RunError
-                         : OracleFailure::Kind::Race;
-        F.Detail = !Ok ? RunDiags.str() : describeRaces(NaiveRaces);
+                   "(" + SC->Desc + "):\n" + F.Detail;
       }
-      Res.Failures.push_back(F);
-      Res.Passed = false;
-      return Res;
+      fail(F);
+      return false;
     }
-    if (Opt.CheckStatic && SC.ProvenOOB) {
+    if (SC && SC->ProvenOOB) {
       // A Violation verdict asserts some thread must fault; a clean run
       // refutes the proof. Unsound in the other direction.
-      OracleFailure F;
       F.FailKind = OracleFailure::Kind::StaticUnsound;
-      F.Variant = "naive";
       F.Stage = "static";
       F.Detail = "proven out-of-bounds access did not fault dynamically (" +
-                 SC.Desc + ")";
-      Res.Failures.push_back(F);
-      Res.Passed = false;
-      return Res;
+                 SC->Desc + ")";
+      fail(F);
+      return false;
     }
+    return true;
   }
 
-  Comparator Cmp{!kernelHasFloatArith(Naive), Opt.UlpTol, Opt.RelTol};
+  /// The check step for one kernel or chain under test: counts it, runs
+  /// it, engine-checks it when \p CrossCheck (a divergence ends the
+  /// check), then judges it. \returns false with \p F classified; the
+  /// caller records the failure.
+  bool check(const Chain &Kernels, bool CrossCheck, const Comparator &Cmp,
+             OracleFailure &F) {
+    ++Res.VariantsChecked;
+    Run Got = runChain(Sim, Naive, Kernels, Opt.InputSeed);
+    if (CrossCheck && !enginesAgree(Kernels, Got, F))
+      return false;
+    return judge(Got, Cmp, F);
+  }
+
+  /// Re-compiles one search variant with a snapshot hook and blames the
+  /// first stage whose intermediate kernel fails the same run and
+  /// judgment as check() (without the engine differential).
+  std::string attributeStage(int BlockN, int ThreadM,
+                             const Comparator &Cmp) const {
+    Module CompileM;
+    Module SnapM; // snapshots survive the pipeline mutating the variant
+    DiagnosticsEngine Diags;
+    GpuCompiler GC(CompileM, Diags);
+
+    std::vector<std::pair<std::string, KernelFunction *>> Snaps;
+    CompileOptions O = Opt.Compile;
+    O.Hook = [&](const char *Stage, KernelFunction &K, bool Final) {
+      if (Opt.Inject)
+        Opt.Inject(Stage, K, Final);
+      Snaps.emplace_back(Stage, cloneKernel(SnapM, &K, K.name()));
+    };
+    GC.compileVariant(*Naive.front(), O, BlockN, ThreadM);
+
+    for (const auto &[Stage, Snap] : Snaps) {
+      OracleFailure Scratch;
+      if (!judge(runChain(Sim, Naive, {Snap}, Opt.InputSeed), Cmp, Scratch))
+        return Stage;
+    }
+    return "unattributed";
+  }
+
+private:
+  /// The engine differential, when Opt.CheckInterp is on. \returns false
+  /// with \p F an InterpDivergence when the other engine disagrees.
+  bool enginesAgree(const Chain &Kernels, const Run &Mine,
+                    OracleFailure &F) const {
+    if (!Opt.CheckInterp)
+      return true;
+    std::string Divergence =
+        engineDivergence(Sim, Naive, Kernels, Opt.InputSeed, Mine);
+    if (Divergence.empty())
+      return true;
+    F.FailKind = OracleFailure::Kind::InterpDivergence;
+    F.Detail = Divergence;
+    return false;
+  }
+
+  /// A fault, then a race, then an element of the naive chain's final
+  /// output arrays that \p Cmp rejects against the reference. \returns
+  /// false with \p F classified.
+  bool judge(const Run &Got, const Comparator &Cmp, OracleFailure &F) const {
+    if (!sanitizerClean(Got, /*CheckRaces=*/true, F))
+      return false;
+    if (compareOutputs(*Naive.back(), Ref.Buffers, Got.Buffers, Cmp, F))
+      return true;
+    F.FailKind = OracleFailure::Kind::Mismatch;
+    return false;
+  }
+
+  const OracleOptions &Opt;
+  OracleResult &Res;
+  /// Every run is seeded from this chain's array parameters.
+  const Chain Naive;
+  Simulator Sim;
+  Run Ref;
+};
+
+} // namespace
+
+OracleResult gpuc::runOracle(Module &M, const KernelFunction &Naive,
+                             const OracleOptions &Opt) {
+  OracleResult Res;
+  OracleCase C(Opt, Res, {&Naive});
+
+  // Under --check-static the naive run is itself race-checked, since the
+  // static claim being audited covers race-freedom too.
+  StaticClass SC;
+  if (Opt.CheckStatic)
+    SC = classifyStatic(Naive);
+  if (!C.reference("naive", Opt.CheckStatic, Opt.CheckStatic ? &SC : nullptr))
+    return Res;
+
+  Comparator Cmp{!kernelHasFloatArith(Naive)};
   Res.ExactCompare = Cmp.Exact;
 
   // Full pipeline + design-space search. The oracle owns the hook slot;
@@ -440,8 +445,7 @@ OracleResult gpuc::runOracle(Module &M, const KernelFunction &Naive,
     F.Variant = "compile";
     F.Stage = "final";
     F.Detail = CompDiags.str() + Out.Log;
-    Res.Failures.push_back(F);
-    Res.Passed = false;
+    C.fail(F);
     return Res;
   }
   Res.BestBlockN = Out.BestVariant.BlockMergeN;
@@ -452,26 +456,13 @@ OracleResult gpuc::runOracle(Module &M, const KernelFunction &Naive,
   for (const VariantResult &V : Out.Variants) {
     if (!V.Kernel)
       continue;
-    ++Res.VariantsChecked;
     OracleFailure F;
     F.Variant = V.Kernel->name();
     F.BlockN = V.BlockMergeN;
     F.ThreadM = V.ThreadMergeM;
-
-    BufferSet Buffers;
-    std::string Detail;
-    bool Raced = false;
-    bool Ok = runVariant(Sim, *V.Kernel, Opt.InputSeed, Opt.CheckRaces,
-                         Buffers, Detail, Raced);
-    if (Ok && !Raced && compareOutputs(Naive, Ref, Buffers, Cmp, F))
+    if (C.check({V.Kernel}, /*CrossCheck=*/false, Cmp, F))
       continue;
-
-    F.FailKind = !Ok ? OracleFailure::Kind::RunError
-                 : Raced ? OracleFailure::Kind::Race
-                         : OracleFailure::Kind::Mismatch;
-    F.Detail = Detail;
-    F.Stage = attributeStage(Naive, Opt, V.BlockMergeN, V.ThreadMergeM, Sim,
-                             Ref, Cmp);
+    F.Stage = C.attributeStage(V.BlockMergeN, V.ThreadMergeM, Cmp);
     // A sanitizer-level failure (fault or race, not a value mismatch) on
     // a variant the engine proved clean is the same unsoundness the naive
     // check hunts for, surfaced on a transformed kernel.
@@ -480,11 +471,10 @@ OracleResult gpuc::runOracle(Module &M, const KernelFunction &Naive,
       if (VSC.Clean) {
         F.FailKind = OracleFailure::Kind::StaticUnsound;
         F.Detail = "statically clean variant failed the dynamic sanitizer "
-                   "(" + VSC.Desc + "):\n" + Detail;
+                   "(" + VSC.Desc + "):\n" + F.Detail;
       }
     }
-    Res.Failures.push_back(F);
-    Res.Passed = false;
+    C.fail(F);
   }
   return Res;
 }
@@ -492,39 +482,9 @@ OracleResult gpuc::runOracle(Module &M, const KernelFunction &Naive,
 OracleResult gpuc::runLayoutOracle(Module &M, const KernelFunction &Naive,
                                    const OracleOptions &Opt) {
   OracleResult Res;
-  Simulator Sim(Opt.Compile.Device);
-  Sim.setInterpBackend(Opt.Compile.Interp);
-
-  if (Opt.CheckInterp) {
-    std::string Detail;
-    if (!crossCheckInterp(Sim, Naive, Opt.InputSeed, Detail)) {
-      OracleFailure F;
-      F.FailKind = OracleFailure::Kind::InterpDivergence;
-      F.Variant = "naive";
-      F.Stage = "interp";
-      F.Detail = Detail;
-      Res.Failures.push_back(F);
-      Res.Passed = false;
-      return Res;
-    }
-  }
-
-  // Reference: the naive kernel's own outputs on the seeded inputs.
-  BufferSet Ref;
-  {
-    fillFuzzInputs(Naive, Ref, Opt.InputSeed);
-    DiagnosticsEngine RunDiags;
-    if (!Sim.runFunctional(Naive, Ref, RunDiags, nullptr)) {
-      OracleFailure F;
-      F.FailKind = OracleFailure::Kind::RunError;
-      F.Variant = "naive";
-      F.Stage = "input";
-      F.Detail = RunDiags.str();
-      Res.Failures.push_back(F);
-      Res.Passed = false;
-      return Res;
-    }
-  }
+  OracleCase C(Opt, Res, {&Naive});
+  if (!C.reference("naive", /*CheckRaces=*/false, nullptr))
+    return Res;
 
   // Tier one: pure block-id remaps installed directly on the naive
   // kernel. A legal remap is a bijection on block ids — it only relabels
@@ -540,44 +500,22 @@ OracleResult gpuc::runLayoutOracle(Module &M, const KernelFunction &Naive,
         {"skew-y", {1, 0, 1, 1, 0, 0}},
         {"diagonal", BlockRemap::diagonal()},
     };
-    Comparator Bit{/*Exact=*/true, 0, 0.0};
     for (const auto &[Name, Remap] : Pure) {
       if (!remapLegal(Remap, L.GridDimX, L.GridDimY))
         continue;
       KernelFunction *Clone =
           cloneKernel(M, &Naive, Naive.name() + "_remap_" + Name);
       Clone->launch().Remap = Remap;
-      ++Res.VariantsChecked;
       OracleFailure F;
       F.Variant = Clone->name();
       F.Stage = std::string("layout:") + Name;
-      if (Opt.CheckInterp) {
-        std::string Detail;
-        if (!crossCheckInterp(Sim, *Clone, Opt.InputSeed, Detail)) {
-          F.FailKind = OracleFailure::Kind::InterpDivergence;
-          F.Detail = Detail;
-          Res.Failures.push_back(F);
-          Res.Passed = false;
-          continue;
-        }
-      }
-      BufferSet Buffers;
-      std::string Detail;
-      bool Raced = false;
-      bool Ok = runVariant(Sim, *Clone, Opt.InputSeed, Opt.CheckRaces,
-                           Buffers, Detail, Raced);
-      if (Ok && !Raced && compareOutputs(Naive, Ref, Buffers, Bit, F))
-        continue;
-      F.FailKind = !Ok     ? OracleFailure::Kind::RunError
-                   : Raced ? OracleFailure::Kind::Race
-                           : OracleFailure::Kind::Mismatch;
-      F.Detail = Detail;
-      Res.Failures.push_back(F);
-      Res.Passed = false;
+      if (!C.check({Clone}, /*CrossCheck=*/true, Comparator{/*Exact=*/true},
+                   F))
+        C.fail(F);
     }
   }
 
-  Comparator Cmp{!kernelHasFloatArith(Naive), Opt.UlpTol, Opt.RelTol};
+  Comparator Cmp{!kernelHasFloatArith(Naive)};
   Res.ExactCompare = Cmp.Exact;
 
   CompileOptions CO = Opt.Compile;
@@ -599,8 +537,7 @@ OracleResult gpuc::runLayoutOracle(Module &M, const KernelFunction &Naive,
     F.Variant = "compile";
     F.Stage = "layout:identity";
     F.Detail = ProbeDiags.str();
-    Res.Failures.push_back(F);
-    Res.Passed = false;
+    C.fail(F);
     return Res;
   }
 
@@ -625,35 +562,12 @@ OracleResult gpuc::runLayoutOracle(Module &M, const KernelFunction &Naive,
       F.FailKind = OracleFailure::Kind::CompileError;
       F.Variant = "compile";
       F.Detail = Diags.str();
-      Res.Failures.push_back(F);
-      Res.Passed = false;
+      C.fail(F);
       continue;
     }
-    ++Res.VariantsChecked;
     F.Variant = V->name();
-    if (Opt.CheckInterp) {
-      std::string Detail;
-      if (!crossCheckInterp(Sim, *V, Opt.InputSeed, Detail)) {
-        F.FailKind = OracleFailure::Kind::InterpDivergence;
-        F.Detail = Detail;
-        Res.Failures.push_back(F);
-        Res.Passed = false;
-        continue;
-      }
-    }
-    BufferSet Buffers;
-    std::string Detail;
-    bool Raced = false;
-    bool Ok = runVariant(Sim, *V, Opt.InputSeed, Opt.CheckRaces, Buffers,
-                         Detail, Raced);
-    if (Ok && !Raced && compareOutputs(Naive, Ref, Buffers, Cmp, F))
-      continue;
-    F.FailKind = !Ok     ? OracleFailure::Kind::RunError
-                 : Raced ? OracleFailure::Kind::Race
-                         : OracleFailure::Kind::Mismatch;
-    F.Detail = Detail;
-    Res.Failures.push_back(F);
-    Res.Passed = false;
+    if (!C.check({V}, /*CrossCheck=*/true, Cmp, F))
+      C.fail(F);
   }
   return Res;
 }
@@ -662,52 +576,17 @@ OracleResult gpuc::runPipelineOracle(
     Module &M, const std::vector<const KernelFunction *> &Stages,
     const OracleOptions &Opt) {
   OracleResult Res;
-  Simulator Sim(Opt.Compile.Device);
-  Sim.setInterpBackend(Opt.Compile.Interp);
-  const KernelFunction &Final = *Stages.back();
-
-  if (Opt.CheckInterp) {
-    std::string Detail;
-    if (!crossCheckInterpPipeline(Sim, Stages, Opt.InputSeed, Detail)) {
-      OracleFailure F;
-      F.FailKind = OracleFailure::Kind::InterpDivergence;
-      F.Variant = "chain";
-      F.Stage = "interp";
-      F.Detail = Detail;
-      Res.Failures.push_back(F);
-      Res.Passed = false;
-      return Res;
-    }
-  }
-
   // Reference: the unfused naive chain, stage by stage against one shared
   // buffer set (the simulator is the paper-semantics oracle the fusion
-  // transform is tested against).
-  BufferSet Ref;
-  {
-    fillPipelineFuzzInputs(Stages, Ref, Opt.InputSeed);
-    DiagnosticsEngine RunDiags;
-    RaceLog Races;
-    bool Ok = Sim.runPipelineFunctional(Stages, Ref, RunDiags,
-                                        Opt.CheckRaces ? &Races : nullptr);
-    bool Raced = Opt.CheckRaces && !Races.clean();
-    if (!Ok || Raced) {
-      OracleFailure F;
-      F.FailKind =
-          !Ok ? OracleFailure::Kind::RunError : OracleFailure::Kind::Race;
-      F.Variant = "chain";
-      F.Stage = "input";
-      F.Detail = !Ok ? RunDiags.str() : describeRaces(Races);
-      Res.Failures.push_back(F);
-      Res.Passed = false;
-      return Res;
-    }
-  }
+  // transform is tested against). Every run is seeded from the chain.
+  OracleCase C(Opt, Res, Stages);
+  if (!C.reference("chain", /*CheckRaces=*/true, nullptr))
+    return Res;
 
   bool AnyFloat = false;
   for (const KernelFunction *K : Stages)
     AnyFloat |= kernelHasFloatArith(*K);
-  Comparator Cmp{!AnyFloat, Opt.UlpTol, Opt.RelTol};
+  Comparator Cmp{!AnyFloat};
   Res.ExactCompare = Cmp.Exact;
 
   // Fusion legality + both sides of the design-space search.
@@ -727,8 +606,7 @@ OracleResult gpuc::runPipelineOracle(
     F.Variant = "compile";
     F.Stage = "final";
     F.Detail = CompDiags.str();
-    Res.Failures.push_back(F);
-    Res.Passed = false;
+    C.fail(F);
     return Res;
   }
   if (Out.UseFused && Out.FusedOut.Best) {
@@ -736,104 +614,45 @@ OracleResult gpuc::runPipelineOracle(
     Res.BestThreadM = Out.FusedOut.BestVariant.ThreadMergeM;
   }
 
-  // The fused *naive* kernel is held to the strongest claim: bit-exact
-  // agreement with the chain on the final stage's outputs, regardless of
-  // float arithmetic — register/shared-stage placement must preserve the
-  // per-element evaluation order exactly.
   if (Out.Fused) {
-    ++Res.VariantsChecked;
+    // The fused *naive* kernel is held to the strongest claim: bit-exact
+    // agreement with the chain on the final stage's outputs, regardless
+    // of float arithmetic — register/shared-stage placement must preserve
+    // the per-element evaluation order exactly. It is new code (possibly
+    // with a staging barrier), so both engines must agree on it too.
     OracleFailure F;
     F.Variant = Out.Fused->name();
     F.Stage = "fusion";
-    BufferSet FB;
-    fillPipelineFuzzInputs(Stages, FB, Opt.InputSeed);
-    DiagnosticsEngine RunDiags;
-    RaceLog Races;
-    bool Ok = Sim.runFunctional(*Out.Fused, FB, RunDiags,
-                                Opt.CheckRaces ? &Races : nullptr);
-    bool Raced = Opt.CheckRaces && !Races.clean();
-    Comparator Bit{/*Exact=*/true, 0, 0.0};
-    if (!Ok || Raced || !compareOutputs(Final, Ref, FB, Bit, F)) {
-      F.FailKind = !Ok     ? OracleFailure::Kind::RunError
-                   : Raced ? OracleFailure::Kind::Race
-                           : OracleFailure::Kind::Mismatch;
-      F.Detail = !Ok ? RunDiags.str()
-                 : Raced
-                     ? describeRaces(Races)
-                     : "fused naive kernel diverges bit-wise from the "
-                       "unfused chain";
-      Res.Failures.push_back(F);
-      Res.Passed = false;
+    if (!C.check({Out.Fused}, /*CrossCheck=*/true, Comparator{/*Exact=*/true},
+                 F)) {
+      if (F.FailKind == OracleFailure::Kind::Mismatch)
+        F.Detail = "fused naive kernel diverges bit-wise from the unfused "
+                   "chain";
+      C.fail(F);
     }
-    // The fused kernel is new code (possibly with a staging barrier);
-    // give it the same engine cross-check the chain got.
-    if (Opt.CheckInterp) {
-      std::string Detail;
-      if (!crossCheckInterp(Sim, *Out.Fused, Opt.InputSeed, Detail)) {
-        OracleFailure FI;
-        FI.FailKind = OracleFailure::Kind::InterpDivergence;
-        FI.Variant = Out.Fused->name();
-        FI.Stage = "interp";
-        FI.Detail = Detail;
-        Res.Failures.push_back(FI);
-        Res.Passed = false;
-      }
-    }
-  }
 
-  // Every compiled fused variant must match the chain within tolerance.
-  if (Out.Fused) {
+    // Every compiled fused variant must match the chain within tolerance.
     for (const VariantResult &V : Out.FusedOut.Variants) {
       if (!V.Kernel)
         continue;
-      ++Res.VariantsChecked;
-      OracleFailure F;
-      F.Variant = V.Kernel->name();
-      F.BlockN = V.BlockMergeN;
-      F.ThreadM = V.ThreadMergeM;
-      F.Stage = "fused-search";
-      BufferSet VB;
-      fillPipelineFuzzInputs(Stages, VB, Opt.InputSeed);
-      DiagnosticsEngine RunDiags;
-      RaceLog Races;
-      bool Ok = Sim.runFunctional(*V.Kernel, VB, RunDiags,
-                                  Opt.CheckRaces ? &Races : nullptr);
-      bool Raced = Opt.CheckRaces && !Races.clean();
-      if (Ok && !Raced && compareOutputs(Final, Ref, VB, Cmp, F))
-        continue;
-      F.FailKind = !Ok     ? OracleFailure::Kind::RunError
-                   : Raced ? OracleFailure::Kind::Race
-                           : OracleFailure::Kind::Mismatch;
-      F.Detail = !Ok ? RunDiags.str() : Raced ? describeRaces(Races) : "";
-      Res.Failures.push_back(F);
-      Res.Passed = false;
+      OracleFailure FV;
+      FV.Variant = V.Kernel->name();
+      FV.BlockN = V.BlockMergeN;
+      FV.ThreadM = V.ThreadMergeM;
+      FV.Stage = "fused-search";
+      if (!C.check({V.Kernel}, /*CrossCheck=*/false, Cmp, FV))
+        C.fail(FV);
     }
   }
 
   // The unfused compiled side: each stage's winner chained in order.
-  {
-    ++Res.VariantsChecked;
-    OracleFailure F;
-    F.Variant = "unfused-best";
-    F.Stage = "stage-search";
-    std::vector<const KernelFunction *> Bests;
-    for (const CompileOutput &SO : Out.StageOuts)
-      Bests.push_back(SO.Best);
-    BufferSet BB;
-    fillPipelineFuzzInputs(Stages, BB, Opt.InputSeed);
-    DiagnosticsEngine RunDiags;
-    RaceLog Races;
-    bool Ok = Sim.runPipelineFunctional(Bests, BB, RunDiags,
-                                        Opt.CheckRaces ? &Races : nullptr);
-    bool Raced = Opt.CheckRaces && !Races.clean();
-    if (!Ok || Raced || !compareOutputs(Final, Ref, BB, Cmp, F)) {
-      F.FailKind = !Ok     ? OracleFailure::Kind::RunError
-                   : Raced ? OracleFailure::Kind::Race
-                           : OracleFailure::Kind::Mismatch;
-      F.Detail = !Ok ? RunDiags.str() : Raced ? describeRaces(Races) : "";
-      Res.Failures.push_back(F);
-      Res.Passed = false;
-    }
-  }
+  OracleFailure F;
+  F.Variant = "unfused-best";
+  F.Stage = "stage-search";
+  Chain Bests;
+  for (const CompileOutput &SO : Out.StageOuts)
+    Bests.push_back(SO.Best);
+  if (!C.check(Bests, /*CrossCheck=*/false, Cmp, F))
+    C.fail(F);
   return Res;
 }

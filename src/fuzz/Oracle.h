@@ -9,11 +9,17 @@
 /// Translation validation by execution: the naive kernel and every variant
 /// the design-space search produces run in the simulator on identical
 /// randomized inputs, and the outputs are compared element-wise — exact
-/// for kernels that only move data, ULP-bounded where the transforms may
-/// reassociate float arithmetic. A mismatch, crash, race or diagnostic
-/// regression is attributed to the first pipeline stage whose intermediate
-/// kernel (snapshotted through core/Compiler's StageHook) diverges from
-/// the naive reference.
+/// for kernels that only move data, within 256 ULP or 1e-4 relative where
+/// the transforms may reassociate float arithmetic. A mismatch, crash,
+/// race or diagnostic regression is attributed to the first pipeline stage
+/// whose intermediate kernel (snapshotted through core/Compiler's
+/// StageHook) diverges from the naive reference.
+///
+/// All three oracles (search, layout, pipeline) check each kernel or chain
+/// the same way: one seeded, race-logged run on the oracle's engine, one
+/// run on the other interpreter engine compared with it where CheckInterp
+/// covers the kernel, and one judgment of the first run against the naive
+/// reference — a fault, then a race, then an output mismatch.
 ///
 /// The Inject hook exists for the oracle's own test coverage: a test
 /// installs a stage hook that deliberately corrupts the kernel after a
@@ -36,15 +42,9 @@ struct OracleOptions {
   /// the hook slot (use Inject for fault injection); Jobs is forced to 1
   /// (the fuzzer parallelizes across seeds, not inside a case).
   CompileOptions Compile;
-  /// Seed for the randomized input buffers.
+  /// Seed for the randomized input buffers (fillPipelineFuzzInputs over
+  /// the naive kernel or chain).
   unsigned InputSeed = 0x9e3779b9u;
-  /// Tolerances for kernels containing float arithmetic (either bound
-  /// passing accepts the element). Data-movement-only kernels must match
-  /// bit-exactly.
-  int UlpTol = 256;
-  double RelTol = 1e-4;
-  /// Race-check every optimized variant with the dynamic sanitizer.
-  bool CheckRaces = true;
   /// Differential static-vs-dynamic soundness check (gpuc-fuzz
   /// --check-static): classify the naive kernel with the
   /// abstract-interpretation engine (analysis/Dataflow.h) before running
@@ -54,11 +54,13 @@ struct OracleOptions {
   /// Either direction broken is a Kind::StaticUnsound failure — a bug in
   /// the analysis engine, not in the kernel under test.
   bool CheckStatic = false;
-  /// Differential check of the two interpreter engines: run the naive
-  /// kernel with both the vector and the scalar backend and demand
-  /// bit-identical buffers and a record-identical race log. Any
-  /// divergence is a Kind::InterpDivergence failure — a bug in one of the
-  /// engines, not in the kernel under test.
+  /// Differential check of the two interpreter engines: the naive kernel
+  /// or chain, every kernel the layout oracle checks and the pipeline
+  /// oracle's fused naive kernel are rerun on the engine Compile.Interp
+  /// does not select and must reproduce the outcome, every buffer bit for
+  /// bit and the race log record for record. Any divergence is a
+  /// Kind::InterpDivergence failure — a bug in one of the engines, not in
+  /// the kernel under test — and ends that kernel's check.
   bool CheckInterp = true;
   /// Test-only fault injection, run inside the pipeline's stage hook
   /// before the oracle snapshots the kernel.
@@ -105,7 +107,7 @@ struct OracleResult {
 };
 
 /// Fills every array parameter of \p K with seed-deterministic values in
-/// [-0.5, 0.5) (same generator gpucc --validate uses).
+/// [-0.5, 0.5): fillPipelineFuzzInputs over a chain of one.
 void fillFuzzInputs(const KernelFunction &K, BufferSet &Buffers,
                     unsigned Seed);
 
@@ -134,15 +136,16 @@ OracleResult runOracle(Module &M, const KernelFunction &Naive,
 /// whole pipeline at unit merge factors and each variant must match naive
 /// under the usual comparator (exact for data movement, ULP where
 /// transforms may reassociate floats). Every checked kernel is also
-/// cross-checked scalar-vs-vector. Failures carry Stage =
+/// cross-checked scalar-vs-vector (CheckInterp). Failures carry Stage =
 /// "layout:<name>".
 OracleResult runLayoutOracle(Module &M, const KernelFunction &Naive,
                              const OracleOptions &Opt);
 
-/// Pipeline analogue of fillFuzzInputs: fills every array parameter of
-/// every stage, in pipeline order, skipping names an earlier stage
+/// Fills every array parameter of every stage, in pipeline order, with
+/// one continuing LCG sequence of values in [-0.5, 0.5), skipping names
 /// already allocated (so a consumer sees the same bytes its producer's
-/// buffer was seeded with before being overwritten).
+/// buffer was seeded with before being overwritten). The oracles seed
+/// every run this way, and gpucc --validate uses it with seed 99.
 void fillPipelineFuzzInputs(const std::vector<const KernelFunction *> &Stages,
                             BufferSet &Buffers, unsigned Seed);
 
@@ -151,8 +154,9 @@ void fillPipelineFuzzInputs(const std::vector<const KernelFunction *> &Stages,
 /// reference; the fused naive kernel (when legality admits one) must
 /// match it bit-exactly on the final stage's outputs, every compiled
 /// fused variant and the chained per-stage winners must match within the
-/// float tolerance, and both interpreter engines must agree on the
-/// chain. \p Stages must be the parsed pipeline in order (>= 2 kernels,
+/// float tolerance, and both interpreter engines must agree on the chain
+/// and on the fused naive kernel. Every run is seeded from the chain's
+/// inputs. \p Stages must be the parsed pipeline in order (>= 2 kernels,
 /// owned by \p M).
 OracleResult
 runPipelineOracle(Module &M,

@@ -29,6 +29,7 @@
 
 #include "cache/DiskCache.h"
 #include "exec/ThreadPool.h"
+#include "fuzz/Oracle.h"
 #include "serve/Client.h"
 #include "serve/Service.h"
 #include "sim/SimCache.h"
@@ -131,28 +132,6 @@ bool readInputFile(const std::string &Path, std::string &Out) {
   SS << In.rdbuf();
   Out = SS.str();
   return true;
-}
-
-/// Fills the array parameters of \p Stages with one fixed pseudo-random
-/// sequence. Arrays are bound by name across pipeline stages, so each
-/// unique name is allocated and filled once (first occurrence wins; later
-/// stages then see the producer's values, or the initial fill for true
-/// inputs).
-void fillPipelineInputs(const std::vector<KernelFunction *> &Stages,
-                        BufferSet &B) {
-  unsigned State = 99;
-  for (const KernelFunction *K : Stages) {
-    for (const ParamDecl &P : K->params()) {
-      if (!P.IsArray || B.has(P.Name))
-        continue;
-      auto &V = B.alloc(P.Name, static_cast<size_t>(P.elemCount()) *
-                                    P.ElemTy.vectorWidth());
-      for (float &X : V) {
-        State = State * 1664525u + 1013904223u;
-        X = static_cast<float>(State >> 20) / 4096.0f - 0.5f;
-      }
-    }
-  }
 }
 
 /// Everything main() parses from argv. Job is the compile itself — the
@@ -295,8 +274,8 @@ int validate(const DriverOptions &D, const serve::CompileKeep &K,
   const std::vector<const KernelFunction *> Naive(K.Stages.begin(),
                                                   K.Stages.end());
   BufferSet RefBufs, OptBufs;
-  fillPipelineInputs(K.Stages, RefBufs);
-  fillPipelineInputs(K.Stages, OptBufs);
+  fillPipelineFuzzInputs(Naive, RefBufs, 99);
+  fillPipelineFuzzInputs(Naive, OptBufs, 99);
   DiagnosticsEngine RunDiags;
   RaceLog RefRaces, OptRaces;
   if (!Sim.runPipelineFunctional(Naive, RefBufs, RunDiags,
