@@ -131,6 +131,12 @@ private:
     R.End = static_cast<int32_t>(P.Code.size());
     R.DynOps = CurDyn - M.Dyn;
     R.Flops = CurFlops - M.Flops;
+    for (int32_t I = R.Begin; I < R.End; ++I) {
+      const BcInstr &Instr = P.Code[static_cast<size_t>(I)];
+      if ((Instr.Op == BcOp::Load || Instr.Op == BcOp::Store) &&
+          P.Accesses[static_cast<size_t>(Instr.Aux32)].Shared)
+        ++R.SharedOps;
+    }
     return R;
   }
 

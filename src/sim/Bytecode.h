@@ -134,9 +134,15 @@ struct BcAccess {
 /// short-circuiting, so every thread that evaluates a range accrues exactly
 /// this DynOps/Flops contribution; the executor multiplies by the active
 /// count (integral values summed in double — exact, order-free).
+///
+/// SharedOps counts the range's shared-memory Load/Store ops. It decides
+/// how a race-logged run replays them to the sanitizer in the scalar
+/// engine's thread-major order: one op's thread loop already runs in that
+/// order and checks inline; two or more are buffered and merged by thread.
 struct BcRange {
   int32_t Begin = 0, End = 0;
   double DynOps = 0, Flops = 0;
+  int SharedOps = 0;
 };
 
 /// Fat statement node. One per AST statement, preserving tree structure so

@@ -335,8 +335,10 @@ void Interpreter::raceCheckAccess(const ArrayRef *A, long long T,
                                   const float *NewVals,
                                   const float *OldVals) {
   RaceLog &Log = *Opt->Races;
-  const int Tid =
-      static_cast<int>(T % K.launch().threadsPerBlock()) + 1; // 0 = none
+  // In block mode the group is one block and T is already in-block.
+  const long long InBlock =
+      BlocksInGroup > 1 ? T % K.launch().threadsPerBlock() : T;
+  const int Tid = static_cast<int>(InBlock) + 1; // 0 = none
   for (int Lane = 0; Lane < Lanes; ++Lane) {
     const size_t W = static_cast<size_t>(AbsWord + Lane);
     auto Conflict = [&](int Other, bool WriteWrite) {

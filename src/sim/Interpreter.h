@@ -207,12 +207,15 @@ private:
   // Dynamic race sanitizer.
   void raceCheckSetup();
   void raceCheckBarrier();
+  /// \p T is the group thread id: the in-block id in block mode (the
+  /// group is one block), the grid-flat id in grid mode. Both engines call
+  /// this for every shared access in thread-major order within a range.
   /// \p NewVals: the per-lane values about to be stored (null for loads);
   /// a second write that deposits the value a word already holds this
   /// phase is the benign redundant halo-load idiom, not a race. \p
   /// OldVals, when non-null, supplies the pre-store word contents for that
   /// comparison instead of SharedData (the vector executor commits data
-  /// before replaying buffered checks).
+  /// before replaying buffered checks; its inline checks pass null).
   void raceCheckAccess(const ArrayRef *A, long long T, long long AbsWord,
                        long long RelWord, int Lanes, bool IsWrite,
                        const float *NewVals = nullptr,

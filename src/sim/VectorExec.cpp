@@ -468,6 +468,8 @@ void VectorExec::execLoad(const BcAccess &AC, const uint8_t *M) {
     int GroupCount = 0;
     long long GroupHW = -1;
     const int HalfWarp = FoldMM ? MM->halfWarp() : 16;
+    if (BufferRaces)
+      RunBegin.push_back(Pending.size());
     for (long long T = 0; T < N; ++T) {
       if (!M[T])
         continue;
@@ -489,18 +491,21 @@ void VectorExec::execLoad(const BcAccess &AC, const uint8_t *M) {
         GroupHW = HW;
         Group[GroupCount++] = {T, SA.ByteOffset + (FloatOff - Base) * 4};
       }
-      if (Races) {
+      const long long Abs = RegionP[static_cast<size_t>(T)] + FloatOff;
+      if (BufferRaces) {
         PendingAcc PA;
         PA.T = T;
         PA.Site = AC.Site;
-        PA.Abs = RegionP[static_cast<size_t>(T)] + FloatOff;
+        PA.Abs = Abs;
         PA.Rel = FloatOff - Base;
         PA.Lanes = AL;
         PA.IsWrite = false;
         Pending.push_back(PA);
+      } else if (Races) {
+        In.raceCheckAccess(AC.Site, T, Abs, FloatOff - Base, AL,
+                           /*IsWrite=*/false);
       }
-      const float *Src = &In.SharedData[static_cast<size_t>(
-          RegionP[static_cast<size_t>(T)] + FloatOff)];
+      const float *Src = &In.SharedData[static_cast<size_t>(Abs)];
       for (int L = 0; L < AL; ++L)
         Dst[L][T] = Src[L];
     }
@@ -553,6 +558,8 @@ void VectorExec::execStore(const BcAccess &AC, const uint8_t *M) {
     int GroupCount = 0;
     long long GroupHW = -1;
     const int HalfWarp = FoldMM ? MM->halfWarp() : 16;
+    if (BufferRaces)
+      RunBegin.push_back(Pending.size());
     for (long long T = 0; T < N; ++T) {
       if (!M[T])
         continue;
@@ -571,13 +578,13 @@ void VectorExec::execStore(const BcAccess &AC, const uint8_t *M) {
         GroupHW = HW;
         Group[GroupCount++] = {T, SA.ByteOffset + (FloatOff - Base) * 4};
       }
-      float *Dst = &In.SharedData[static_cast<size_t>(
-          RegionP[static_cast<size_t>(T)] + FloatOff)];
-      if (Races) {
+      const long long Abs = RegionP[static_cast<size_t>(T)] + FloatOff;
+      float *Dst = &In.SharedData[static_cast<size_t>(Abs)];
+      if (BufferRaces) {
         PendingAcc PA;
         PA.T = T;
         PA.Site = AC.Site;
-        PA.Abs = RegionP[static_cast<size_t>(T)] + FloatOff;
+        PA.Abs = Abs;
         PA.Rel = FloatOff - Base;
         PA.Lanes = AL;
         PA.IsWrite = true;
@@ -586,6 +593,14 @@ void VectorExec::execStore(const BcAccess &AC, const uint8_t *M) {
           PA.Old[L] = L < AL ? Dst[L] : 0.0f;
         }
         Pending.push_back(PA);
+      } else if (Races) {
+        // Checked before the store commits, so the same-value exemption
+        // reads the pre-store word from SharedData, as the scalar engine.
+        float New[4];
+        for (int L = 0; L < AL; ++L)
+          New[L] = Src[L][T];
+        In.raceCheckAccess(AC.Site, T, Abs, FloatOff - Base, AL,
+                           /*IsWrite=*/true, New);
       }
       for (int L = 0; L < AL; ++L)
         Dst[L] = Src[L][T];
@@ -621,20 +636,33 @@ void VectorExec::execStore(const BcAccess &AC, const uint8_t *M) {
 }
 
 void VectorExec::flushReads() {
-  if (Pending.empty())
-    return;
-  std::stable_sort(Pending.begin(), Pending.end(),
-                   [](const PendingAcc &A, const PendingAcc &B) {
-                     return A.T < B.T;
-                   });
-  for (const PendingAcc &A : Pending)
-    In.raceCheckAccess(A.Site, A.T, A.Abs, A.Rel, A.Lanes, A.IsWrite,
-                       A.IsWrite ? A.New : nullptr,
-                       A.IsWrite ? A.Old : nullptr);
+  // Each run holds at most one access per thread, so every round replays
+  // the heads that carry the smallest thread id, in run order: the order a
+  // stable sort by thread id gives.
+  const size_t Runs = RunBegin.size();
+  RunHead = RunBegin;
+  RunBegin.push_back(Pending.size()); // RunBegin[R + 1] ends run R
+  for (long long T = 0; T < N;) {
+    long long Next = N;
+    for (size_t R = 0; R < Runs; ++R) {
+      size_t &H = RunHead[R];
+      if (H < RunBegin[R + 1] && Pending[H].T == T) {
+        const PendingAcc &A = Pending[H++];
+        In.raceCheckAccess(A.Site, A.T, A.Abs, A.Rel, A.Lanes, A.IsWrite,
+                           A.IsWrite ? A.New : nullptr,
+                           A.IsWrite ? A.Old : nullptr);
+      }
+      if (H < RunBegin[R + 1])
+        Next = std::min(Next, Pending[H].T);
+    }
+    T = Next;
+  }
   Pending.clear();
+  RunBegin.clear();
 }
 
 void VectorExec::runRange(const BcRange &R, const uint8_t *M, long long Cnt) {
+  BufferRaces = Races && R.SharedOps > 1;
   for (int32_t I = R.Begin; I < R.End; ++I)
     step(P.Code[static_cast<size_t>(I)], M);
   if (Collect) {
@@ -644,7 +672,7 @@ void VectorExec::runRange(const BcRange &R, const uint8_t *M, long long Cnt) {
     St->DynOps += R.DynOps * static_cast<double>(Cnt);
     St->Flops += R.Flops * static_cast<double>(Cnt);
   }
-  if (Races)
+  if (BufferRaces)
     flushReads();
 }
 

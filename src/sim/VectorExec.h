@@ -61,14 +61,16 @@ private:
   std::vector<std::vector<uint8_t>> MaskPool;
   size_t MaskTop = 0;
 
-  /// Shared-memory accesses buffered during one range and replayed to the
-  /// race sanitizer stable-sorted by thread id: push order is instruction
-  /// order, i.e. the scalar engine's per-thread tree order, so the sorted
-  /// sequence reproduces its thread-major access order exactly. Writes
-  /// carry the pre-store word contents (Old) because the benign
-  /// redundant-write exemption compares against the value the word held
-  /// when the scalar engine would have checked — before this thread's own
-  /// store, which has already committed by flush time.
+  /// The race sanitizer must see a range's shared accesses in the scalar
+  /// engine's thread-major order. A range with one shared op (BcRange::
+  /// SharedOps) checks each access inside that op's ascending thread loop.
+  /// A range with more buffers them here, one run per op, each run in
+  /// ascending thread order; flushReads merges the runs by thread id, equal
+  /// ids in run (instruction) order — the scalar engine's per-thread tree
+  /// order. Writes carry the pre-store word contents (Old) because the
+  /// benign redundant-write exemption compares against the value the word
+  /// held when the scalar engine would have checked — before this thread's
+  /// own store, which has already committed by flush time.
   struct PendingAcc {
     long long T;
     const ArrayRef *Site;
@@ -78,6 +80,10 @@ private:
     float New[4], Old[4];
   };
   std::vector<PendingAcc> Pending;
+  /// Where each op's run begins in Pending, and the merge cursors.
+  std::vector<size_t> RunBegin, RunHead;
+  /// The current range buffers its accesses (race-logged, SharedOps > 1).
+  bool BufferRaces = false;
 
   const float *fsrc(int32_t Ref) const;
   float *fdst(int32_t Ref);
