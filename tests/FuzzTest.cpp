@@ -10,7 +10,9 @@
 //    with a pinned count and stage, and a faulting naive kernel is one
 //    RunError at stage "input" (StaticUnsound and InterpDivergence need
 //    a broken analysis or engine, so no test triggers them);
-//  * the reducer shrinks an injected-bug repro to a small dialect program.
+//  * the reducer shrinks an injected-bug repro to a small dialect program;
+//  * gpucc --validate's mismatch count treats a one-sided NaN as a
+//    mismatch.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +30,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 using namespace gpuc;
 
@@ -326,6 +330,23 @@ TEST(OracleTest, UlpDistanceBasics) {
   float Pos = std::nextafterf(0.0f, 1.0f);
   EXPECT_EQ(ulpDistance(Neg, Pos), 2);
   EXPECT_GT(ulpDistance(1.0f, 2.0f), 1000);
+}
+
+TEST(OracleTest, ValidationMismatchesCountOneSidedNaN) {
+  const float NaN = std::numeric_limits<float>::quiet_NaN();
+  const float Inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(validationMismatches({0.25f}, {NaN}), 1);
+  EXPECT_EQ(validationMismatches({NaN}, {0.25f}), 1);
+  EXPECT_EQ(validationMismatches({NaN}, {NaN}), 0);
+  EXPECT_EQ(validationMismatches({0.25f}, {1.0f}), 1);
+  EXPECT_EQ(validationMismatches({0.25f, NaN, NaN, 0.25f},
+                                 {NaN, 0.25f, NaN, 1.0f}),
+            3);
+  // The 1e-3 bound is relative to max(1, |Want|); equal infinities agree.
+  EXPECT_EQ(validationMismatches({1000.0f, 0.5f, Inf},
+                                 {1000.5f, 0.5009f, Inf}),
+            0);
+  EXPECT_EQ(validationMismatches({Inf, 1.0f, Inf}, {1.0f, Inf, -Inf}), 3);
 }
 
 TEST(OracleTest, FillFuzzInputsIsSeedDeterministic) {

@@ -295,17 +295,10 @@ int validate(const DriverOptions &D, const serve::CompileKeep &K,
   if (!RefRaces.clean() || !OptRaces.clean())
     return 1;
   long long Bad = 0;
-  for (const ParamDecl &Param : K.Stages.back()->params()) {
-    if (!Param.IsArray || !Param.IsOutput)
-      continue;
-    const auto &A = RefBufs.data(Param.Name);
-    const auto &B = OptBufs.data(Param.Name);
-    for (size_t I = 0; I < A.size(); ++I) {
-      double Denom = std::max(1.0, static_cast<double>(std::fabs(A[I])));
-      if (std::fabs(A[I] - B[I]) / Denom > 1e-3)
-        ++Bad;
-    }
-  }
+  for (const ParamDecl &Param : K.Stages.back()->params())
+    if (Param.IsArray && Param.IsOutput)
+      Bad += validationMismatches(RefBufs.data(Param.Name),
+                                  OptBufs.data(Param.Name));
   Err += strFormat("validation: %lld mismatches\n", Bad);
   return Bad == 0 ? 0 : 2;
 }
