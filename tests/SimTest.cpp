@@ -1,7 +1,10 @@
 //===-- tests/SimTest.cpp - simulator substrate tests ---------------------===//
 
 #include "ast/Builder.h"
+#include "ast/Walk.h"
 #include "baselines/CublasLike.h"
+#include "baselines/NaiveKernels.h"
+#include "core/Compiler.h"
 #include "sim/MemoryModel.h"
 #include "sim/Simulator.h"
 
@@ -223,6 +226,116 @@ TEST(Occupancy, RegisterEstimateDiscountsDeadTemporaries) {
   B.assign(B.at("c", {B.idx()}), B.v("last"));
   KernelFunction *K = B.finish(256, 1, 4096, 1);
   EXPECT_LT(estimateRegistersPerThread(*K), 12);
+}
+
+namespace {
+
+int scanRegsOfStmt(const Stmt *S);
+
+/// The register estimate's reference definition: a declaration's live
+/// range is found by scanning every later statement of its block for the
+/// name, and every position tests every range.
+int scanRegsOfCompound(const CompoundStmt *C) {
+  const auto &Body = C->body();
+  const size_t N = Body.size();
+  if (N == 0)
+    return 0;
+  std::vector<std::pair<size_t, size_t>> Intervals;
+  std::vector<int> Width;
+  for (size_t I = 0; I < N; ++I) {
+    const auto *D = dyn_cast<DeclStmt>(Body[I]);
+    if (!D || D->isShared())
+      continue;
+    size_t Last = I;
+    for (size_t J = I + 1; J < N; ++J)
+      if (containsVar(Body[J], D->name()))
+        Last = J;
+    Intervals.emplace_back(I, Last);
+    Type Ty = D->declType();
+    Width.push_back(Ty.isFloatVector() ? Ty.vectorWidth() : 1);
+  }
+  int MaxDemand = 0;
+  for (size_t P = 0; P < N; ++P) {
+    int Demand = scanRegsOfStmt(Body[P]);
+    for (size_t K = 0; K < Intervals.size(); ++K)
+      if (Intervals[K].first <= P && P <= Intervals[K].second)
+        Demand += Width[K];
+    MaxDemand = std::max(MaxDemand, Demand);
+  }
+  return MaxDemand;
+}
+
+int scanRegsOfStmt(const Stmt *S) {
+  switch (S->kind()) {
+  case StmtKind::Compound:
+    return scanRegsOfCompound(cast<CompoundStmt>(S));
+  case StmtKind::If: {
+    const auto *If = cast<IfStmt>(S);
+    int ThenRegs = scanRegsOfCompound(If->thenBody());
+    int ElseRegs = If->elseBody() ? scanRegsOfCompound(If->elseBody()) : 0;
+    return std::max(ThenRegs, ElseRegs);
+  }
+  case StmtKind::For:
+    return 1 + scanRegsOfCompound(cast<ForStmt>(S)->body());
+  case StmtKind::While:
+    return scanRegsOfCompound(cast<WhileStmt>(S)->body());
+  case StmtKind::Decl:
+  case StmtKind::Assign:
+  case StmtKind::Sync:
+    return 0;
+  }
+  return 0;
+}
+
+/// The reference block demand plus the fixed addressing allowance.
+int scanRegisterEstimate(const KernelFunction &K) {
+  return scanRegsOfCompound(K.body()) + 6;
+}
+
+/// Figure-11 sizes: 1024 except strsm 512, vv 2^20 and rd 2^21.
+long long figure11Size(Algo A) {
+  switch (A) {
+  case Algo::STRSM:
+    return 512;
+  case Algo::VV:
+    return 1LL << 20;
+  case Algo::RD:
+    return 1LL << 21;
+  default:
+    return 1024;
+  }
+}
+
+} // namespace
+
+TEST(Occupancy, RegisterEstimateMatchesTheScanOnEverySearchVariant) {
+  // Every kernel a Figure-11 search produces, remap copies included: the
+  // thread-merged bodies are the long blocks where a faster estimate could
+  // drift from the reference.
+  for (const DeviceSpec &Dev : {DeviceSpec::gtx280(), DeviceSpec::gtx8800()}) {
+    for (Algo A : table1Algos()) {
+      Module M;
+      DiagnosticsEngine D;
+      KernelFunction *Naive = parseNaive(M, A, figure11Size(A), D);
+      ASSERT_NE(Naive, nullptr) << D.str();
+      GpuCompiler GC(M, D);
+      CompileOptions Opt;
+      Opt.Device = Dev;
+      Opt.Jobs = 1;
+      CompileOutput Out = GC.compile(*Naive, Opt);
+      ASSERT_NE(Out.Best, nullptr) << D.str() << Out.Log;
+      int Checked = 0;
+      for (const VariantResult &V : Out.Variants) {
+        ASSERT_NE(V.Kernel, nullptr);
+        EXPECT_EQ(estimateRegistersPerThread(*V.Kernel),
+                  scanRegisterEstimate(*V.Kernel))
+            << Dev.Name << " " << algoInfo(A).Name << " " << V.Layout
+            << " b" << V.BlockMergeN << " t" << V.ThreadMergeM;
+        ++Checked;
+      }
+      EXPECT_EQ(Checked, Out.Search.Candidates) << algoInfo(A).Name;
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
