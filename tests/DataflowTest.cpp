@@ -14,7 +14,9 @@
 #include "analysis/Dataflow.h"
 #include "ast/Printer.h"
 #include "baselines/NaiveKernels.h"
+#include "core/Compiler.h"
 #include "parser/Parser.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
@@ -444,4 +446,103 @@ TEST(Dataflow, VerdictNamesStable) {
   EXPECT_STREQ(verdictName(Verdict::Proven), "proven");
   EXPECT_STREQ(verdictName(Verdict::Possible), "possible");
   EXPECT_STREQ(verdictName(Verdict::Violation), "violation");
+}
+
+//===----------------------------------------------------------------------===//
+// Whole-result digests over every variant of the Figure-11 searches.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::string divStr(const DivFact &D) {
+  return std::string(divergenceName(D.Thread)) + "/" +
+         divergenceName(D.Block);
+}
+
+/// Every fact of \p R as text: accesses and barriers in program order,
+/// exit variables in name order.
+std::string serializeFacts(const DataflowResult &R) {
+  std::string S;
+  for (const AccessFact &A : R.Accesses)
+    S += strFormat("access %s shared=%d store=%d words=%s total=%lld "
+                   "lanes=%d bounds=%s div=%s guarded=%d loc=%d:%d\n",
+                   A.Array.c_str(), A.IsShared, A.IsStore,
+                   A.Words.str().c_str(), A.TotalWords, A.Lanes,
+                   verdictName(A.Bounds), divStr(A.AddrDiv).c_str(),
+                   A.Guarded, A.Loc.Line, A.Loc.Col);
+  for (const BarrierFact &B : R.Barriers)
+    S += strFormat("barrier global=%d %s (%s)\n", B.IsGlobal,
+                   verdictName(B.Uniformity), B.Reason.c_str());
+  for (const auto &[Name, F] : R.ExitVars)
+    S += strFormat("var %s range=%s form=%s div=%s\n", Name.c_str(),
+                   F.Range.str().c_str(),
+                   F.HasForm ? F.Form.str().c_str() : "none",
+                   divStr(F.Div).c_str());
+  return S;
+}
+
+uint64_t fnv1a(const std::string &S, uint64_t H = 0xcbf29ce484222325ull) {
+  for (unsigned char C : S) {
+    H ^= C;
+    H *= 0x100000001b3ull;
+  }
+  return H;
+}
+
+/// Figure-11 sizes: 1024 except strsm 512, vv 2^20 and rd 2^21.
+long long figure11Size(Algo A) {
+  switch (A) {
+  case Algo::STRSM:
+    return 512;
+  case Algo::VV:
+    return 1LL << 20;
+  case Algo::RD:
+    return 1LL << 21;
+  default:
+    return 1024;
+  }
+}
+
+} // namespace
+
+TEST(DataflowDigest, EveryFigure11VariantKeepsItsFacts) {
+  // One digest per program over the engine's whole result on every
+  // variant its gtx280 search builds (remap copies included), in slot
+  // order. Any change to a fact — an interval, a verdict, a divergence
+  // point, a reason string — moves the digest.
+  const std::pair<Algo, uint64_t> Pins[] = {
+      {Algo::TMV, 0xf97fc648e411f3fcull},
+      {Algo::MM, 0xd147236fadbca61dull},
+      {Algo::MV, 0x249bf220521f72f2ull},
+      {Algo::VV, 0x68984177dd19b9b1ull},
+      {Algo::RD, 0xcfafcafddc088d13ull},
+      {Algo::STRSM, 0xb4b12ae4fdbb11daull},
+      {Algo::CONV, 0x634d9a5099a2efe1ull},
+      {Algo::TP, 0x1129b67f5c6f9fa6ull},
+      {Algo::DEMOSAIC, 0x164603277b9cd158ull},
+      {Algo::IMREGIONMAX, 0x78c1e89e1da6f349ull},
+  };
+  for (const auto &[A, Want] : Pins) {
+    Module M;
+    DiagnosticsEngine D;
+    KernelFunction *Naive = parseNaive(M, A, figure11Size(A), D);
+    ASSERT_NE(Naive, nullptr) << D.str();
+    GpuCompiler GC(M, D);
+    CompileOptions Opt;
+    Opt.Device = DeviceSpec::gtx280();
+    Opt.Jobs = 1;
+    CompileOutput Out = GC.compile(*Naive, Opt);
+    ASSERT_NE(Out.Best, nullptr) << D.str() << Out.Log;
+    uint64_t H = fnv1a(algoInfo(A).Name);
+    for (const VariantResult &V : Out.Variants) {
+      ASSERT_NE(V.Kernel, nullptr);
+      H = fnv1a(strFormat("variant %s b%d t%d\n", V.Layout, V.BlockMergeN,
+                          V.ThreadMergeM),
+                H);
+      H = fnv1a(serializeFacts(runDataflow(*V.Kernel)), H);
+    }
+    EXPECT_EQ(H, Want) << algoInfo(A).Name
+                       << strFormat(": digest 0x%016llxull",
+                                    static_cast<unsigned long long>(H));
+  }
 }
