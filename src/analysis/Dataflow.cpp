@@ -177,18 +177,25 @@ private:
   // Environments and expression evaluation
   //===------------------------------------------------------------------===//
 
-  DivEnv divEnv(const State &S) const {
-    DivEnv E;
-    for (const auto &[Name, F] : S.Vars)
-      E.Vars[Name] = F.Div;
-    return E;
+  /// Views of \p S's variable facts; \p S must outlive them unchanged.
+  static const VarFact *findVar(const void *Vars, const std::string &Name) {
+    const auto &M = *static_cast<const std::map<std::string, VarFact> *>(Vars);
+    auto It = M.find(Name);
+    return It == M.end() ? nullptr : &It->second;
   }
 
-  RangeEnv rangeEnv(const State &S) const {
-    RangeEnv E;
-    for (const auto &[Name, F] : S.Vars)
-      E.Syms[Name] = F.Range;
-    return E;
+  static DivEnv divEnv(const State &S) {
+    return {&S.Vars, [](const void *Vars, const std::string &Name) {
+              const VarFact *F = findVar(Vars, Name);
+              return F ? &F->Div : nullptr;
+            }};
+  }
+
+  static RangeEnv rangeEnv(const State &S) {
+    return {&S.Vars, [](const void *Vars, const std::string &Name) {
+              const VarFact *F = findVar(Vars, Name);
+              return F ? &F->Range : nullptr;
+            }};
   }
 
   /// Canonical affine form of \p E: builtins plus *active* loop iterators;

@@ -55,9 +55,8 @@ DivFact gpuc::divergenceOf(const Expr *E, const KernelFunction &K,
     const auto *V = cast<VarRef>(E);
     if (K.findParam(V->name()))
       return {}; // scalar parameters are launch-wide constants
-    auto It = Env.Vars.find(V->name());
-    if (It != Env.Vars.end())
-      return It->second;
+    if (const DivFact *F = Env.lookup(V->name()))
+      return *F;
     return {Divergence::Unknown, Divergence::Unknown};
   }
   case ExprKind::ArrayRef:

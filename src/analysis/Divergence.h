@@ -26,7 +26,6 @@
 
 #include "ast/Kernel.h"
 
-#include <map>
 #include <string>
 
 namespace gpuc {
@@ -56,11 +55,18 @@ struct DivFact {
 
 DivFact joinDiv(const DivFact &A, const DivFact &B);
 
-/// Per-variable divergence environment for divergenceOf. Scalar parameters
-/// are launch-wide constants (uniform on both axes) and need no entry;
-/// a local without an entry is treated as Unknown.
+/// Per-variable divergence environment for divergenceOf: a non-owning
+/// view that maps a local's name to its fact (null when it has none)
+/// through \p Find, called with \p Ctx. Scalar parameters are launch-wide
+/// constants (uniform on both axes) and need no entry; a local without an
+/// entry is treated as Unknown.
 struct DivEnv {
-  std::map<std::string, DivFact> Vars;
+  const void *Ctx = nullptr;
+  const DivFact *(*Find)(const void *Ctx, const std::string &Name) = nullptr;
+
+  const DivFact *lookup(const std::string &Name) const {
+    return Find ? Find(Ctx, Name) : nullptr;
+  }
 };
 
 /// Structural may-divergence of \p E under \p Env: the join over its

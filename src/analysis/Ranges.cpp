@@ -132,8 +132,8 @@ Interval gpuc::remI(const Interval &A, const Interval &B) {
 }
 
 Interval RangeEnv::lookup(const std::string &Name) const {
-  auto It = Syms.find(Name);
-  return It == Syms.end() ? Interval::top() : It->second;
+  const Interval *I = Find ? Find(Ctx, Name) : nullptr;
+  return I ? *I : Interval::top();
 }
 
 Interval gpuc::rangeOfAffine(const AffineExpr &A, const LaunchConfig &L,

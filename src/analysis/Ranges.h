@@ -26,7 +26,6 @@
 #include "ast/Affine.h"
 #include "ast/Kernel.h"
 
-#include <map>
 #include <string>
 
 namespace gpuc {
@@ -73,9 +72,13 @@ Interval divI(const Interval &A, const Interval &B);
 Interval remI(const Interval &A, const Interval &B);
 
 /// Value intervals for the symbolic (loop-iterator) names appearing in
-/// canonical affine forms. Missing names are unknown.
+/// canonical affine forms: a non-owning view that maps a name to its
+/// interval (null when it has none) through \p Find, called with \p Ctx.
+/// Missing names are unknown.
 struct RangeEnv {
-  std::map<std::string, Interval> Syms;
+  const void *Ctx = nullptr;
+  const Interval *(*Find)(const void *Ctx, const std::string &Name) = nullptr;
+
   Interval lookup(const std::string &Name) const;
 };
 

@@ -23,8 +23,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <tuple>
+#include <unordered_map>
 
 using namespace gpuc;
 
@@ -286,6 +288,9 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
     /// Per-block statistics shared by a build and its copies; null when
     /// BlockMemo::appliesTo rejects the body.
     std::shared_ptr<BlockMemo> Memo;
+    /// hashKernel of the slot's kernel: equal hashes give equal SimCache
+    /// keys within a phase.
+    uint64_t Hash = 0;
     /// The dataflow engine proved a violation (filled under StaticPrune).
     bool Violation = false;
     Occupancy Occ;
@@ -377,6 +382,8 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
           Naive, Opt, C.N, C.Mm, nullptr, &C.Camp, &C.Layout, nullptr,
           Opt.StaticPrune ? &C.Violation : nullptr);
     }
+    if (C.Kernel)
+      C.Hash = hashKernel(*C.Kernel);
     C.CompileWallMs = CompileTimer.elapsedMs();
     if (!C.Kernel)
       return;
@@ -397,14 +404,71 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
                                R.Layout.K == LayoutPoint::Kind::Diagonal;
       R.Violation = C.Violation;
       R.Memo = C.Memo;
+      R.Hash = hashKernel(*R.Kernel);
       R.CompileWallMs = CopyTimer.elapsedMs();
       R.BuildWallMs = C.CompileWallMs;
     }
   });
 
+  // Runs that share state run in one task, in the order a one-lane search
+  // runs them. Slots share a BlockMemo (a build and its pure-remap copies)
+  // or, when their kernel hashes are equal, the SimCache entry of each
+  // phase; either puts them in one group (union-find, rooted at the
+  // group's lowest slot). No memo or cache entry is then touched by two
+  // lanes, so each sees the same lookups and inserts at every lane count,
+  // and the block and cache counters repeat exactly.
+  std::vector<size_t> GroupOf(Cands.size());
+  {
+    std::iota(GroupOf.begin(), GroupOf.end(), size_t(0));
+    auto Root = [&](size_t X) {
+      while (GroupOf[X] != X)
+        X = GroupOf[X] = GroupOf[GroupOf[X]];
+      return X;
+    };
+    auto Unite = [&](size_t A, size_t B) {
+      A = Root(A);
+      B = Root(B);
+      GroupOf[std::max(A, B)] = std::min(A, B);
+    };
+    std::unordered_map<uint64_t, size_t> FirstWithHash;
+    for (size_t I = 0; I < Cands.size(); ++I) {
+      const Candidate &C = Cands[I];
+      if (!C.Kernel)
+        continue;
+      if (C.Memo)
+        for (size_t J : C.Copies)
+          Unite(I, J);
+      if (auto [It, New] = FirstWithHash.try_emplace(C.Hash, I); !New)
+        Unite(It->second, I);
+    }
+    for (size_t I = 0; I < Cands.size(); ++I)
+      GroupOf[I] = Root(I);
+  }
+  // Runs Body on every slot of Order: one pool task per group, groups in
+  // the order of their first slot in Order, members in Order's order.
+  auto RunGrouped = [&](const std::vector<size_t> &Order,
+                        const std::function<void(size_t)> &Body) {
+    std::vector<std::vector<size_t>> Tasks;
+    std::vector<size_t> TaskOf(Cands.size(), Cands.size());
+    for (size_t I : Order) {
+      size_t &T = TaskOf[GroupOf[I]];
+      if (T == Cands.size()) {
+        T = Tasks.size();
+        Tasks.emplace_back();
+      }
+      Tasks[T].push_back(I);
+    }
+    Pool.parallelFor(Tasks.size(), [&](size_t T) {
+      for (size_t I : Tasks[T])
+        Body(I);
+    });
+  };
+
   // Phase B: occupancy, static prune and (unless the search is
   // exhaustive) a lower bound from a cheap probe run, per slot.
-  Pool.parallelFor(Cands.size(), [&](size_t I) {
+  std::vector<size_t> AllSlots(Cands.size());
+  std::iota(AllSlots.begin(), AllSlots.end(), size_t(0));
+  RunGrouped(AllSlots, [&](size_t I) {
     Candidate &C = Cands[I];
     if (!C.Kernel || compileCancelled(Opt))
       return;
@@ -475,11 +539,11 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
   // every candidate whose bound it beats. A pruned candidate's true time
   // is >= its bound > the champion's time >= the final winner's time, so
   // pruning cannot change the winner as long as the bound holds (the
-  // ExhaustiveSearch tests enforce exactly that).
+  // ExhaustiveSearch tests enforce exactly that). The survivors run
+  // grouped, in lower-bound order.
   double Threshold = std::numeric_limits<double>::infinity();
   if (Opt.ExhaustiveSearch || Runnable.size() <= 1) {
-    Pool.parallelFor(Runnable.size(),
-                     [&](size_t I) { FullSim(Runnable[I]); });
+    RunGrouped(Runnable, FullSim);
   } else {
     std::stable_sort(Runnable.begin(), Runnable.end(),
                      [&](size_t A, size_t B) {
@@ -497,8 +561,7 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
       else
         Survivors.push_back(Runnable[I]);
     }
-    Pool.parallelFor(Survivors.size(),
-                     [&](size_t I) { FullSim(Survivors[I]); });
+    RunGrouped(Survivors, FullSim);
   }
 
   // Phase D: deterministic reduction in canonical order; strict < keeps

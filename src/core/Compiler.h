@@ -183,7 +183,9 @@ struct SearchStats {
   int StaticallyPruned = 0;
   int Infeasible = 0;
   /// SimCache traffic attributable to this search: in-memory hits, misses
-  /// in both tiers, and memory misses served by the disk tier.
+  /// in both tiers, and memory misses served by the disk tier. Runs whose
+  /// kernels hash equal share a task, so for a cache no other search is
+  /// using, hits and misses are the same at every lane count.
   uint64_t CacheHits = 0;
   uint64_t CacheMisses = 0;
   uint64_t DiskHits = 0;
@@ -207,9 +209,9 @@ struct SearchStats {
   uint64_t ScalarFallbacks = 0;
   /// Blocks this search's performance runs (probes included) executed,
   /// and blocks they took from their build's BlockMemo instead
-  /// (sim/BlockMemo.h). Exact at one lane; with more, two runs of one
-  /// body can both miss a block, so the split varies like the cache
-  /// counters. Runs answered from the SimCache add to neither.
+  /// (sim/BlockMemo.h). The runs that share a memo share a task and run
+  /// in the one-lane order, so the split is the same at every lane count.
+  /// Runs answered from the SimCache add to neither.
   uint64_t BlocksSimulated = 0;
   uint64_t BlocksReused = 0;
   /// Kernel-fusion counters (multi-kernel pipelines; core/Fusion.h):

@@ -108,7 +108,6 @@ bool BlockMemo::appliesTo(const KernelFunction &K) {
 }
 
 bool BlockMemo::lookup(const Key &K, SimStats &Out) const {
-  std::lock_guard<std::mutex> Lock(Mu);
   auto It = Blocks.find(K);
   if (It == Blocks.end())
     return false;
@@ -117,6 +116,5 @@ bool BlockMemo::lookup(const Key &K, SimStats &Out) const {
 }
 
 void BlockMemo::insert(const Key &K, const SimStats &S) {
-  std::lock_guard<std::mutex> Lock(Mu);
   Blocks.try_emplace(K, S);
 }

@@ -33,15 +33,16 @@
 
 #include <compare>
 #include <map>
-#include <mutex>
 
 namespace gpuc {
 
-/// Thread-safe per-block SimStats table for the performance runs of one
-/// kernel body (one build and its remap copies, for one search). The runs
-/// must share the device and run over empty BufferSets, so every array
-/// reads as zero and every scalar has its compile-time binding; the
-/// Simulator ignores the memo for any other run.
+/// Per-block SimStats table for the performance runs of one kernel body
+/// (one build and its remap copies, for one search). The runs must share
+/// the device and run over empty BufferSets, so every array reads as zero
+/// and every scalar has its compile-time binding; the Simulator ignores
+/// the memo for any other run. The table is not synchronized: the search
+/// runs every slot that shares a memo in one task (core/Compiler.cpp), so
+/// one lane at a time touches it, in the order a one-lane search does.
 class BlockMemo {
 public:
   /// True when a block's statistics in such a run depend on nothing but
@@ -65,12 +66,9 @@ public:
   };
 
   bool lookup(const Key &K, SimStats &Out) const;
-  /// The first insert of a key wins; lanes that both simulated the block
-  /// carry identical statistics.
   void insert(const Key &K, const SimStats &S);
 
 private:
-  mutable std::mutex Mu;
   std::map<Key, SimStats> Blocks;
 };
 
