@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <tuple>
 
 using namespace gpuc;
@@ -340,7 +342,7 @@ TEST(PerfBinding, BoundInputsAreReadInPlace) {
 }
 
 //===----------------------------------------------------------------------===//
-// Reuse is real, and safe across lanes.
+// Reuse is real, and the lane count changes neither results nor counters.
 //===----------------------------------------------------------------------===//
 
 TEST(BlockMemoReuse, SerialMm1024CountsArePinned) {
@@ -384,6 +386,105 @@ TEST(BlockMemoReuse, ParallelLanesShareTheMemoExactly) {
     EXPECT_GT(SerialStats.BlocksReused, 0u) << algoInfo(A).Name;
     EXPECT_EQ(Serial, Parallel) << algoInfo(A).Name;
   }
+}
+
+TEST(BlockMemoReuse, LaneCountDoesNotChangeTheCounters) {
+  // Runs that share a memo or a cache entry run in one task, in the order
+  // of a one-lane search, so every lane count splits the sampled blocks
+  // and the cache traffic exactly as one lane does.
+  std::vector<uint64_t> Hits, Misses;
+  for (int Jobs : {1, 2, 4, 4}) {
+    Module M;
+    DiagnosticsEngine D;
+    KernelFunction *Naive = parseNaive(M, Algo::MM, 1024, D);
+    ASSERT_NE(Naive, nullptr) << D.str();
+    GpuCompiler GC(M, D);
+    CompileOptions Opt;
+    Opt.Device = DeviceSpec::gtx280();
+    Opt.Jobs = Jobs;
+    CompileOutput Out = GC.compile(*Naive, Opt);
+    ASSERT_NE(Out.Best, nullptr) << D.str() << Out.Log;
+    EXPECT_EQ(Out.Search.Jobs, Jobs);
+    EXPECT_EQ(Out.Search.BlocksSimulated, 130u) << Jobs << " lanes";
+    EXPECT_EQ(Out.Search.BlocksReused, 142u) << Jobs << " lanes";
+    Hits.push_back(Out.Search.CacheHits);
+    Misses.push_back(Out.Search.CacheMisses);
+  }
+  for (size_t I = 1; I < Hits.size(); ++I) {
+    EXPECT_EQ(Hits[I], Hits[0]);
+    EXPECT_EQ(Misses[I], Misses[0]);
+  }
+}
+
+} // namespace
+
+//===----------------------------------------------------------------------===//
+// The same on every Table-1 kernel and the BLAS-2 pipeline. Not part of
+// the BlockMemoReuse suite, which also runs under ThreadSanitizer.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::ostringstream SS;
+  SS << In.rdbuf();
+  return SS.str();
+}
+
+/// BlocksSimulated, BlocksReused, CacheHits and CacheMisses of one search
+/// of \p Source: a single kernel, or a multi-kernel pipeline's program.
+std::vector<uint64_t> searchCounters(const std::string &Source,
+                                     bool Pipeline,
+                                     const CompileOptions &Opt) {
+  Module M;
+  DiagnosticsEngine D;
+  Parser P(Source, D);
+  GpuCompiler GC(M, D);
+  SearchStats S;
+  if (Pipeline) {
+    std::vector<KernelFunction *> Stages = P.parseProgram(M);
+    EXPECT_GE(Stages.size(), 2u) << D.str();
+    const std::vector<const KernelFunction *> CStages(Stages.begin(),
+                                                      Stages.end());
+    S = GC.compileProgram(CStages, Opt).Search;
+  } else {
+    KernelFunction *Naive = P.parseKernel(M);
+    EXPECT_NE(Naive, nullptr) << D.str();
+    if (!Naive)
+      return {};
+    S = GC.compile(*Naive, Opt).Search;
+  }
+  EXPECT_FALSE(D.hasErrors()) << D.str();
+  return {S.BlocksSimulated, S.BlocksReused, S.CacheHits, S.CacheMisses};
+}
+
+TEST(LaneCountCounters, Table1AndPipelineSearchesRepeatAtFourLanes) {
+  // Small sizes keep the 88 searches to a few seconds; mm and strsm,
+  // the costliest per element, run smaller still.
+  std::vector<std::pair<std::string, std::string>> Programs;
+  for (Algo A : table1Algos())
+    Programs.emplace_back(
+        algoInfo(A).Name,
+        naiveSource(A, A == Algo::STRSM ? 64 : A == Algo::MM ? 128 : 256));
+  Programs.emplace_back(
+      "blas2_pipeline",
+      readFile(GPUC_SOURCE_DIR "/examples/kernels/blas2_pipeline.cu"));
+  for (const DeviceSpec &Dev : {DeviceSpec::gtx280(), DeviceSpec::gtx8800()})
+    for (bool Exhaustive : {false, true})
+      for (const auto &[Name, Source] : Programs) {
+        CompileOptions Opt;
+        Opt.Device = Dev;
+        Opt.ExhaustiveSearch = Exhaustive;
+        const bool Pipeline = Name == "blas2_pipeline";
+        Opt.Jobs = 1;
+        const std::vector<uint64_t> Serial =
+            searchCounters(Source, Pipeline, Opt);
+        Opt.Jobs = 4;
+        EXPECT_EQ(searchCounters(Source, Pipeline, Opt), Serial)
+            << Name << " on " << Dev.Name
+            << (Exhaustive ? " (exhaustive)" : " (pruned)");
+      }
 }
 
 } // namespace
