@@ -267,9 +267,13 @@ long long gpuc::countMismatches(const std::vector<float> &Got,
     return static_cast<long long>(std::max(Got.size(), Want.size()));
   long long Bad = 0;
   for (size_t I = 0; I < Got.size(); ++I) {
-    double G = Got[I], W = Want[I];
-    double Denom = std::max(1.0, std::fabs(W));
-    if (std::fabs(G - W) / Denom > RelTol)
+    const double G = Got[I], W = Want[I];
+    if (G == W || (std::isnan(G) && std::isnan(W)))
+      continue;
+    // Negated so that a NaN quotient (one NaN side, or an infinite
+    // reference) counts, where a "> RelTol" test would pass it.
+    const double Denom = std::max(1.0, std::fabs(W));
+    if (!(std::fabs(G - W) / Denom <= RelTol))
       ++Bad;
   }
   return Bad;

@@ -33,8 +33,12 @@ void initInputs(Algo A, long long N, BufferSet &Buffers);
 std::vector<float> cpuReference(Algo A, long long N,
                                 const BufferSet &Buffers);
 
-/// Relative-tolerance comparison of \p Got against \p Want.
-/// \returns number of mismatching elements (0 = equal).
+/// Relative-tolerance comparison of \p Got against \p Want: an element
+/// matches when |Got - Want| / max(1, |Want|) <= \p RelTol. Equal values
+/// and NaN against NaN agree; a NaN on one side, or an infinity against
+/// any other value, is a mismatch.
+/// \returns number of mismatching elements (0 = equal), or the larger size
+/// when the sizes differ.
 long long countMismatches(const std::vector<float> &Got,
                           const std::vector<float> &Want,
                           double RelTol = 1e-3);

@@ -78,22 +78,6 @@ long long gpuc::ulpDistance(float A, float B) {
   return std::llabs(static_cast<long long>(IA) - static_cast<long long>(IB));
 }
 
-long long gpuc::validationMismatches(const std::vector<float> &Want,
-                                     const std::vector<float> &Got) {
-  long long Bad = 0;
-  for (size_t I = 0; I < Want.size(); ++I) {
-    const float A = Want[I], B = Got[I];
-    if (A == B || (std::isnan(A) && std::isnan(B)))
-      continue;
-    // Negated so that a NaN quotient (one NaN side, or an infinite
-    // reference) counts, where a "> 1e-3" test would pass it.
-    const double Denom = std::max(1.0, static_cast<double>(std::fabs(A)));
-    if (!(std::fabs(A - B) / Denom <= 1e-3))
-      ++Bad;
-  }
-  return Bad;
-}
-
 namespace {
 
 using Chain = std::vector<const KernelFunction *>;

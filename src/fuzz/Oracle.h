@@ -119,13 +119,6 @@ bool kernelHasFloatArith(const KernelFunction &K);
 /// NaN/NaN and inf/inf of equal sign count as 0).
 long long ulpDistance(float A, float B);
 
-/// Elements where \p Got misses \p Want by more than 1e-3 relative to
-/// max(1, |Want|), the bound gpucc --validate reports. Equal values and
-/// NaN against NaN agree, as in ulpDistance; a NaN on one side, or an
-/// infinity against any other value, is a mismatch.
-long long validationMismatches(const std::vector<float> &Want,
-                               const std::vector<float> &Got);
-
 /// Runs the full differential check of \p Naive under \p Opt. \p M is the
 /// module owning \p Naive (variant kernels are built in it / in
 /// search-owned modules, as in a normal compilation).

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace gpuc;
 
 namespace {
@@ -25,6 +27,24 @@ void expectMatches(Algo A, long long N, KernelFunction &K,
 }
 
 } // namespace
+
+TEST(CountMismatches, CountsOneSidedNaN) {
+  const float NaN = std::numeric_limits<float>::quiet_NaN();
+  const float Inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(countMismatches({NaN}, {0.25f}), 1);
+  EXPECT_EQ(countMismatches({0.25f}, {NaN}), 1);
+  EXPECT_EQ(countMismatches({NaN}, {NaN}), 0);
+  EXPECT_EQ(countMismatches({1.0f}, {0.25f}), 1);
+  EXPECT_EQ(countMismatches({NaN, 0.25f, NaN, 1.0f}, {0.25f, NaN, NaN, 0.25f}),
+            3);
+  // The bound is relative to max(1, |Want|); equal infinities agree.
+  EXPECT_EQ(countMismatches({1000.5f, 0.5009f, Inf}, {1000.0f, 0.5f, Inf},
+                            1e-3),
+            0);
+  EXPECT_EQ(countMismatches({1.0f, Inf, -Inf}, {Inf, 1.0f, Inf}), 3);
+  // Differing sizes count the larger size.
+  EXPECT_EQ(countMismatches({1.0f, 2.0f}, {1.0f}), 2);
+}
 
 class CublasLikeCorrect : public ::testing::TestWithParam<Algo> {};
 

@@ -332,23 +332,6 @@ TEST(OracleTest, UlpDistanceBasics) {
   EXPECT_GT(ulpDistance(1.0f, 2.0f), 1000);
 }
 
-TEST(OracleTest, ValidationMismatchesCountOneSidedNaN) {
-  const float NaN = std::numeric_limits<float>::quiet_NaN();
-  const float Inf = std::numeric_limits<float>::infinity();
-  EXPECT_EQ(validationMismatches({0.25f}, {NaN}), 1);
-  EXPECT_EQ(validationMismatches({NaN}, {0.25f}), 1);
-  EXPECT_EQ(validationMismatches({NaN}, {NaN}), 0);
-  EXPECT_EQ(validationMismatches({0.25f}, {1.0f}), 1);
-  EXPECT_EQ(validationMismatches({0.25f, NaN, NaN, 0.25f},
-                                 {NaN, 0.25f, NaN, 1.0f}),
-            3);
-  // The 1e-3 bound is relative to max(1, |Want|); equal infinities agree.
-  EXPECT_EQ(validationMismatches({1000.0f, 0.5f, Inf},
-                                 {1000.5f, 0.5009f, Inf}),
-            0);
-  EXPECT_EQ(validationMismatches({Inf, 1.0f, Inf}, {1.0f, Inf, -Inf}), 3);
-}
-
 TEST(OracleTest, FillFuzzInputsIsSeedDeterministic) {
   Module M;
   KernelFunction *K = parseOk(M, MmSource);

@@ -27,6 +27,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "baselines/CpuReference.h"
 #include "cache/DiskCache.h"
 #include "exec/ThreadPool.h"
 #include "fuzz/Oracle.h"
@@ -297,8 +298,8 @@ int validate(const DriverOptions &D, const serve::CompileKeep &K,
   long long Bad = 0;
   for (const ParamDecl &Param : K.Stages.back()->params())
     if (Param.IsArray && Param.IsOutput)
-      Bad += validationMismatches(RefBufs.data(Param.Name),
-                                  OptBufs.data(Param.Name));
+      Bad += countMismatches(OptBufs.data(Param.Name),
+                             RefBufs.data(Param.Name), 1e-3);
   Err += strFormat("validation: %lld mismatches\n", Bad);
   return Bad == 0 ? 0 : 2;
 }
