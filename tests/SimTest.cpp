@@ -159,6 +159,170 @@ TEST(MemoryModel, SharedBankConflicts) {
 }
 
 //===----------------------------------------------------------------------===//
+// The statement window: what beginStatement/endStatement fold
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+void expectStatsEq(const SimStats &A, const SimStats &B) {
+  EXPECT_EQ(A.GlobalLoadHalfWarps, B.GlobalLoadHalfWarps);
+  EXPECT_EQ(A.GlobalStoreHalfWarps, B.GlobalStoreHalfWarps);
+  EXPECT_EQ(A.CoalescedHalfWarps, B.CoalescedHalfWarps);
+  EXPECT_EQ(A.UncoalescedHalfWarps, B.UncoalescedHalfWarps);
+  EXPECT_EQ(A.Transactions, B.Transactions);
+  EXPECT_EQ(A.BytesMovedFloat, B.BytesMovedFloat);
+  EXPECT_EQ(A.BytesMovedFloat2, B.BytesMovedFloat2);
+  EXPECT_EQ(A.BytesMovedFloat4, B.BytesMovedFloat4);
+  EXPECT_EQ(A.UsefulBytes, B.UsefulBytes);
+  EXPECT_EQ(A.SharedAccessHalfWarps, B.SharedAccessHalfWarps);
+  EXPECT_EQ(A.SharedBankExtraCycles, B.SharedBankExtraCycles);
+  EXPECT_EQ(A.PartitionBytes, B.PartitionBytes);
+}
+
+/// One uncoalesced G80 global half-warp (16 transactions spread over the
+/// partitions) and one 4-way conflicted shared half-warp, at \p Site.
+void recordMixed(MemoryModel &MM, const void *Global, const void *Shared) {
+  for (long long T = 0; T < 16; ++T) {
+    MM.recordGlobal(Global, T, 8192 + 260 * T, 4, /*IsStore=*/false);
+    MM.recordShared(Shared, T, 4 * ((T % 4) * 16 + T / 4), 4);
+  }
+}
+
+} // namespace
+
+TEST(MemoryModelWindow, SiteFoldedInOneWindowAddsNothingToTheNext) {
+  DeviceSpec Dev = DeviceSpec::gtx8800();
+  MemoryModel MM(Dev);
+  int Global = 0, Shared = 0;
+  MM.beginStatement();
+  recordMixed(MM, &Global, &Shared);
+  SimStats First;
+  MM.endStatement(First);
+  EXPECT_EQ(First.Transactions, 16);
+  EXPECT_EQ(First.SharedBankExtraCycles, 3);
+
+  // The next window touches no site: it folds nothing at all.
+  MM.beginStatement();
+  SimStats Empty;
+  MM.endStatement(Empty);
+  expectStatsEq(Empty, SimStats());
+
+  // A window that touches one of the two sites folds that site alone.
+  MM.beginStatement();
+  for (long long T = 0; T < 16; ++T)
+    MM.recordShared(&Shared, T, 4 * T, 4);
+  SimStats SharedOnly;
+  MM.endStatement(SharedOnly);
+  EXPECT_EQ(SharedOnly.Transactions, 0);
+  EXPECT_EQ(SharedOnly.GlobalLoadHalfWarps, 0);
+  EXPECT_EQ(SharedOnly.SharedAccessHalfWarps, 1);
+  EXPECT_EQ(SharedOnly.SharedBankExtraCycles, 0);
+}
+
+TEST(MemoryModelWindow, AccessesBeforeBeginStatementAreDiscarded) {
+  // A loop header's bound and step evaluate outside any window; their
+  // accesses are recorded, then dropped by the next beginStatement.
+  DeviceSpec Dev = DeviceSpec::gtx8800();
+  int Global = 0, Shared = 0, Body = 0;
+  SimStats Want;
+  {
+    MemoryModel Fresh(Dev);
+    Fresh.beginStatement();
+    for (long long T = 0; T < 16; ++T)
+      Fresh.recordGlobal(&Body, T, 4096 + 4 * T, 4, /*IsStore=*/true);
+    Fresh.endStatement(Want);
+  }
+  MemoryModel MM(Dev);
+  recordMixed(MM, &Global, &Shared);
+  std::vector<MemoryModel::Access> &Sink =
+      MM.globalSink(&Body, 4, /*IsStore=*/false);
+  for (long long T = 0; T < 16; ++T)
+    Sink.push_back({T, 100000 + 64 * T});
+  MM.beginStatement();
+  for (long long T = 0; T < 16; ++T)
+    MM.recordGlobal(&Body, T, 4096 + 4 * T, 4, /*IsStore=*/true);
+  SimStats Got;
+  MM.endStatement(Got);
+  expectStatsEq(Got, Want);
+  EXPECT_EQ(Got.Transactions, 1);
+  EXPECT_EQ(Got.GlobalStoreHalfWarps, 1);
+  EXPECT_EQ(Got.SharedAccessHalfWarps, 0);
+}
+
+TEST(MemoryModelWindow, SiteRecordOrderDoesNotChangeTheFold) {
+  DeviceSpec Dev = DeviceSpec::gtx8800();
+  int Globals[2] = {0, 0}, Shareds[2] = {0, 0};
+  auto Fold = [&](bool Descending) {
+    MemoryModel MM(Dev);
+    MM.beginStatement();
+    if (Descending) {
+      recordMixed(MM, &Globals[1], &Shareds[1]);
+      recordMixed(MM, &Globals[0], &Shareds[0]);
+    } else {
+      recordMixed(MM, &Globals[0], &Shareds[0]);
+      recordMixed(MM, &Globals[1], &Shareds[1]);
+    }
+    SimStats S;
+    MM.endStatement(S);
+    return S;
+  };
+  const SimStats Asc = Fold(false);
+  const SimStats Desc = Fold(true);
+  expectStatsEq(Desc, Asc);
+  EXPECT_EQ(Asc.Transactions, 32);
+  EXPECT_EQ(Asc.SharedAccessHalfWarps, 2);
+  EXPECT_EQ(Asc.SharedBankExtraCycles, 6);
+}
+
+TEST(MemoryModelWindow, Float2SharedOnOneWordStillSerializes) {
+  // Every lane reads the same float2: no broadcast, since a two-word
+  // element spans two banks; each bank sees all 16 lanes.
+  DeviceSpec Dev = DeviceSpec::gtx280();
+  MemoryModel MM(Dev);
+  int Site = 0;
+  MM.beginStatement();
+  for (long long T = 0; T < 16; ++T)
+    MM.recordShared(&Site, T, 72, 8);
+  SimStats Windowed;
+  MM.endStatement(Windowed);
+  EXPECT_EQ(Windowed.SharedAccessHalfWarps, 1);
+  EXPECT_EQ(Windowed.SharedBankExtraCycles, 15);
+
+  // The vector engine's direct fold of the same group.
+  MemoryModel::Access Lanes[16];
+  for (long long T = 0; T < 16; ++T)
+    Lanes[T] = {T, 72};
+  SimStats Direct;
+  MM.foldSharedGroup(8, Lanes, 16, Direct);
+  expectStatsEq(Direct, Windowed);
+
+  // A float read broadcasts.
+  SimStats Broadcast;
+  MM.foldSharedGroup(4, Lanes, 16, Broadcast);
+  EXPECT_EQ(Broadcast.SharedAccessHalfWarps, 1);
+  EXPECT_EQ(Broadcast.SharedBankExtraCycles, 0);
+}
+
+TEST(MemoryModelWindow, Gt200Float4ScatterCountsEverySegment) {
+  // 16 scattered float4 lanes: even lanes sit inside one 32-byte segment,
+  // odd lanes straddle two. 24 segments, each one transaction of 32
+  // bytes in the partition its address falls in (8 x 256 bytes).
+  DeviceSpec Dev = DeviceSpec::gtx280();
+  std::vector<std::pair<long long, long long>> Acc;
+  for (long long T = 0; T < 16; ++T)
+    Acc.push_back({T, 4096 + 544 * T + (T % 2 ? 24 : 0)});
+  SimStats S = foldOne(Dev, Acc, 16);
+  EXPECT_EQ(S.GlobalLoadHalfWarps, 1);
+  EXPECT_EQ(S.UncoalescedHalfWarps, 1);
+  EXPECT_EQ(S.CoalescedHalfWarps, 0);
+  EXPECT_EQ(S.UsefulBytes, 256);
+  EXPECT_EQ(S.Transactions, 24);
+  EXPECT_EQ(S.BytesMovedFloat4, 768);
+  EXPECT_EQ(S.PartitionBytes,
+            (std::vector<double>{96, 64, 128, 128, 64, 64, 96, 128}));
+}
+
+//===----------------------------------------------------------------------===//
 // Occupancy
 //===----------------------------------------------------------------------===//
 
