@@ -103,14 +103,20 @@ CompoundStmt *gpuc::cloneCompound(ASTContext &Ctx, const CompoundStmt *S) {
   return New;
 }
 
+KernelFunction *gpuc::shareKernel(Module &M, const KernelFunction &K) {
+  auto *New = M.createKernel(K.name(), K.body());
+  New->params() = K.params();
+  New->launch() = K.launch();
+  New->setWorkDomain(K.workDomainX(), K.workDomainY());
+  for (const auto &[Name, V] : K.scalarBindings())
+    New->bindScalar(Name, V);
+  return New;
+}
+
 KernelFunction *gpuc::cloneKernel(Module &M, const KernelFunction *K,
                                   std::string NewName) {
-  auto *New = M.createKernel(std::move(NewName),
-                             cloneCompound(M.context(), K->body()));
-  New->params() = K->params();
-  New->launch() = K->launch();
-  New->setWorkDomain(K->workDomainX(), K->workDomainY());
-  for (const auto &[Name, V] : K->scalarBindings())
-    New->bindScalar(Name, V);
+  KernelFunction *New = shareKernel(M, *K);
+  New->setName(std::move(NewName));
+  New->setBody(cloneCompound(M.context(), K->body()));
   return New;
 }

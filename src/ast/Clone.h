@@ -32,6 +32,13 @@ CompoundStmt *cloneCompound(ASTContext &Ctx, const CompoundStmt *S);
 KernelFunction *cloneKernel(Module &M, const KernelFunction *K,
                             std::string NewName);
 
+/// Creates a kernel in \p M with \p K's name, params, launch config,
+/// bindings and work domain that points at \p K's body instead of copying
+/// it: \p M owns no node of it, so \p K's Module must outlive \p M. The
+/// interpreter writes resolution scratch into the nodes, so \p K and the
+/// new kernel must never run at the same time.
+KernelFunction *shareKernel(Module &M, const KernelFunction &K);
+
 } // namespace gpuc
 
 #endif // GPUC_AST_CLONE_H

@@ -277,9 +277,11 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
     int N = 1, Mm = 1;
     LayoutPoint Layout;
     PartitionCampResult Camp;
-    /// Owning module for non-probe variants. ASTContext is not
-    /// thread-safe and nodes carry interpreter scratch, so a variant is
-    /// only ever touched by the task that owns its slot.
+    /// The slot's module (null for slot 0, whose build is the probe in
+    /// M). A build's module owns its kernel and body; a copy's owns only
+    /// its KernelFunction, which points at its build's body. ASTContext
+    /// is not thread-safe and nodes carry interpreter scratch, so a body
+    /// is only ever touched by the one task that runs its build's group.
     std::shared_ptr<Module> Owner;
     DiagnosticsEngine TaskDiags;
     KernelFunction *Kernel = nullptr;
@@ -288,12 +290,12 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
     /// Per-block statistics shared by a build and its copies; null when
     /// BlockMemo::appliesTo rejects the body.
     std::shared_ptr<BlockMemo> Memo;
-    /// hashKernel of the slot's kernel: equal hashes give equal SimCache
-    /// keys within a phase.
-    uint64_t Hash = 0;
+    /// The kernel's hash (Phase A; equal hashes give equal SimCache keys
+    /// within a phase) and occupancy (Phase B), which every probe and
+    /// full run of the slot reuses.
+    KernelFacts Facts;
     /// The dataflow engine proved a violation (filled under StaticPrune).
     bool Violation = false;
-    Occupancy Occ;
     bool OccInfeasible = false;
     bool Probed = false;
     double LowerBoundMs = 0;
@@ -323,9 +325,10 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
   }
 
   // One build per distinct body. A pure block remap changes only
-  // LaunchConfig::Remap, so every pure-remap point at one (N, M) copies
-  // that (N, M)'s identity build — the same slot in layout block 0. The
-  // offset rotation rewrites the body and builds on its own.
+  // LaunchConfig::Remap, so every pure-remap point at one (N, M) is a copy
+  // of that (N, M)'s identity build — the same slot in layout block 0 —
+  // that shares the build's body. The offset rotation rewrites the body
+  // and builds on its own.
   const size_t PerLayout = BlockNs.size() * ThreadMs.size();
   std::vector<size_t> Builds;
   for (size_t I = 0; I < Cands.size(); ++I) {
@@ -365,7 +368,8 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
   const PerfOptions ProbeOpts = PerfOptions::lowerBoundProbe();
 
   // Phase A: compile every distinct body in its own Module/ASTContext
-  // arena with its own DiagnosticsEngine and copy it for its remap points.
+  // arena with its own DiagnosticsEngine and give each of its remap points
+  // a kernel over that body.
   Pool.parallelFor(Builds.size(), [&](size_t B) {
     Candidate &C = Cands[Builds[B]];
     if (compileCancelled(Opt))
@@ -383,40 +387,43 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
           Opt.StaticPrune ? &C.Violation : nullptr);
     }
     if (C.Kernel)
-      C.Hash = hashKernel(*C.Kernel);
+      C.Facts.Hash = hashKernel(*C.Kernel);
     C.CompileWallMs = CompileTimer.elapsedMs();
     if (!C.Kernel)
       return;
     if (BlockMemo::appliesTo(*C.Kernel))
       C.Memo = std::make_shared<BlockMemo>();
-    // Copies are taken before any simulation: the interpreter writes
-    // annotations into the build's nodes. The dataflow engine ignores
-    // the remap, so a copy inherits the build's verdict; its camping
-    // detection ran on the shared body, and a remap that is not
-    // bijective on the built grid leaves the copy at the identity.
+    // A copy is a KernelFunction of its own (the build's params, bindings
+    // and work domain, its own launch) over the build's body, which it
+    // only relabels. The dataflow engine ignores the remap, so a copy
+    // inherits the build's verdict; its camping detection ran on the
+    // shared body, and a remap that is not bijective on the built grid
+    // leaves the copy at the identity.
     for (size_t J : C.Copies) {
       Candidate &R = Cands[J];
       WallTimer CopyTimer;
       R.Owner = std::make_shared<Module>();
-      R.Kernel = cloneKernel(*R.Owner, C.Kernel, C.Kernel->name());
+      R.Kernel = shareKernel(*R.Owner, *C.Kernel);
       R.Camp = C.Camp;
       R.Camp.AppliedDiagonal = installRemap(*R.Kernel, R.Layout) &&
                                R.Layout.K == LayoutPoint::Kind::Diagonal;
       R.Violation = C.Violation;
       R.Memo = C.Memo;
-      R.Hash = hashKernel(*R.Kernel);
+      R.Facts.Hash = hashKernel(*R.Kernel);
       R.CompileWallMs = CopyTimer.elapsedMs();
       R.BuildWallMs = C.CompileWallMs;
     }
   });
 
   // Runs that share state run in one task, in the order a one-lane search
-  // runs them. Slots share a BlockMemo (a build and its pure-remap copies)
-  // or, when their kernel hashes are equal, the SimCache entry of each
-  // phase; either puts them in one group (union-find, rooted at the
-  // group's lowest slot). No memo or cache entry is then touched by two
-  // lanes, so each sees the same lookups and inserts at every lane count,
-  // and the block and cache counters repeat exactly.
+  // runs them. A build and its pure-remap copies share a body (and its
+  // BlockMemo, when one applies), and slots whose kernel hashes are equal
+  // share the SimCache entry of each phase; either puts them in one group
+  // (union-find, rooted at the group's lowest slot). No body, memo or
+  // cache entry is then touched by two lanes: the interpreter's scratch
+  // in a body's nodes never sees two runs at once, and each memo and
+  // cache entry sees the same lookups and inserts at every lane count, so
+  // the block and cache counters repeat exactly.
   std::vector<size_t> GroupOf(Cands.size());
   {
     std::iota(GroupOf.begin(), GroupOf.end(), size_t(0));
@@ -435,10 +442,9 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
       const Candidate &C = Cands[I];
       if (!C.Kernel)
         continue;
-      if (C.Memo)
-        for (size_t J : C.Copies)
-          Unite(I, J);
-      if (auto [It, New] = FirstWithHash.try_emplace(C.Hash, I); !New)
+      for (size_t J : C.Copies)
+        Unite(I, J);
+      if (auto [It, New] = FirstWithHash.try_emplace(C.Facts.Hash, I); !New)
         Unite(It->second, I);
     }
     for (size_t I = 0; I < Cands.size(); ++I)
@@ -472,8 +478,8 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
     Candidate &C = Cands[I];
     if (!C.Kernel || compileCancelled(Opt))
       return;
-    C.Occ = computeOccupancy(Opt.Device, *C.Kernel);
-    C.OccInfeasible = C.Occ.Infeasible;
+    C.Facts.Occ = computeOccupancy(Opt.Device, *C.Kernel);
+    C.OccInfeasible = C.Facts.Occ.Infeasible;
     if (C.OccInfeasible)
       return;
     // A Violation verdict means the variant provably faults at runtime —
@@ -491,7 +497,7 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
     BufferSet Buffers;
     DiagnosticsEngine ProbeDiags;
     PerfResult LB = Sim.runPerformance(*C.Kernel, Buffers, ProbeDiags,
-                                       ProbeOpts, C.Memo.get());
+                                       ProbeOpts, C.Memo.get(), &C.Facts);
     C.SimWallMs += ProbeTimer.elapsedMs();
     C.Probed = true;
     if (LB.Valid)
@@ -521,7 +527,7 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
     BufferSet Buffers;
     DiagnosticsEngine RunDiags;
     C.Perf = Sim.runPerformance(*C.Kernel, Buffers, RunDiags, Opt.Perf,
-                                C.Memo.get());
+                                C.Memo.get(), &C.Facts);
     C.SimWallMs += SimTimer.elapsedMs();
     C.Simulated = true;
     if (!C.Perf.Valid)
@@ -585,10 +591,10 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
     VR.CompileWallMs = C.CompileWallMs;
     VR.SimWallMs = C.SimWallMs;
     if (C.OccInfeasible) {
-      VR.LimitedBy = C.Occ.LimitedBy;
-      VR.Perf.Occ = C.Occ;
+      VR.LimitedBy = C.Facts.Occ.LimitedBy;
+      VR.Perf.Occ = C.Facts.Occ;
       Out.Log += strFormat("%s: infeasible (%s)\n", Tag.c_str(),
-                           C.Occ.LimitedBy);
+                           C.Facts.Occ.LimitedBy);
     } else if (C.StaticallyPruned) {
       VR.StaticallyPruned = true;
       Out.Log += strFormat("%s: statically pruned (proven "

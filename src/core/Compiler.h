@@ -161,7 +161,7 @@ struct VariantResult {
   /// The pruning estimate (ms); 0 when no probe ran.
   double LowerBoundMs = 0;
   /// Wall-clock spent compiling / simulating this variant (a pure-remap
-  /// variant's compile is the copy of its shared build).
+  /// variant's compile is making its kernel over its build's body).
   double CompileWallMs = 0;
   double SimWallMs = 0;
   double timeMs() const { return Perf.TimeMs; }
@@ -240,7 +240,11 @@ struct CompileOutput {
   SearchStats Search;
   /// Modules owning the non-probe variant kernels (each search task
   /// builds its variant in its own Module/ASTContext; keeping them here
-  /// keeps every KernelFunction* in Variants alive).
+  /// keeps every KernelFunction* in Variants alive). A pure-remap copy's
+  /// Module owns only its KernelFunction, whose body lives in its build's
+  /// Module (or, for copies of the probe, in the compiler's Module), so
+  /// every Module here must live exactly as long as the others: keep or
+  /// drop them together.
   std::vector<std::shared_ptr<Module>> OwnedModules;
 };
 
@@ -323,8 +327,8 @@ public:
   /// Full compilation: enumerates merge-factor candidates, test-runs each
   /// version on the simulator (the paper's empirical search) and returns
   /// the fastest feasible one. Each distinct body is compiled once: the
-  /// pure block-remap layout points at one (N, M) are copies of that
-  /// (N, M)'s identity build with only LaunchConfig::Remap changed.
+  /// pure block-remap layout points at one (N, M) are kernels over that
+  /// (N, M)'s identity build's body with only LaunchConfig::Remap changed.
   CompileOutput compile(const KernelFunction &Naive,
                         const CompileOptions &Opt = CompileOptions());
 

@@ -49,10 +49,13 @@ uint64_t gpuc::hashPerfOptions(const PerfOptions &Options) {
 
 uint64_t gpuc::simCacheKey(const KernelFunction &K, const DeviceSpec &Dev,
                            const PerfOptions &Options) {
-  uint64_t H = hashKernel(K);
-  H = hashCombine(H, hashDevice(Dev));
-  H = hashCombine(H, hashPerfOptions(Options));
-  return H;
+  return simCacheKey(hashKernel(K), Dev, Options);
+}
+
+uint64_t gpuc::simCacheKey(uint64_t KernelHash, const DeviceSpec &Dev,
+                           const PerfOptions &Options) {
+  uint64_t H = hashCombine(KernelHash, hashDevice(Dev));
+  return hashCombine(H, hashPerfOptions(Options));
 }
 
 bool SimCache::lookup(uint64_t Key, PerfResult &Out) {

@@ -52,6 +52,11 @@ uint64_t hashPerfOptions(const PerfOptions &Options);
 uint64_t simCacheKey(const KernelFunction &K, const DeviceSpec &Dev,
                      const PerfOptions &Options);
 
+/// The same key from the kernel's hashKernel value, for callers that
+/// already hold it.
+uint64_t simCacheKey(uint64_t KernelHash, const DeviceSpec &Dev,
+                     const PerfOptions &Options);
+
 /// A persistent (or otherwise external) second tier behind SimCache.
 /// Implementations must be thread-safe; load/store failures must degrade
 /// to misses/no-ops, never to errors observable by the search.

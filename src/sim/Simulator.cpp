@@ -56,17 +56,19 @@ PerfResult Simulator::runPerformance(const KernelFunction &K,
                                      BufferSet &Buffers,
                                      DiagnosticsEngine &Diags,
                                      const PerfOptions &Options,
-                                     BlockMemo *Memo) const {
+                                     BlockMemo *Memo,
+                                     const KernelFacts *Facts) const {
   uint64_t Key = 0;
   if (Cache) {
-    Key = simCacheKey(K, Dev, Options);
+    Key = Facts ? simCacheKey(Facts->Hash, Dev, Options)
+                : simCacheKey(K, Dev, Options);
     PerfResult Cached;
     if (Cache->lookup(Key, Cached))
       return Cached;
   }
 
   PerfResult R;
-  R.Occ = computeOccupancy(Dev, K);
+  R.Occ = Facts ? Facts->Occ : computeOccupancy(Dev, K);
   if (R.Occ.Infeasible) {
     R.Valid = false;
     R.TimeMs = std::numeric_limits<double>::infinity();

@@ -87,13 +87,23 @@ struct PerfResult {
   }
 };
 
+/// What a caller already knows about the kernel of a performance run: its
+/// ast/Hash structural hash (hashKernel) and its occupancy on the run's
+/// device. The design-space search computes both once per slot, and every
+/// probe and full run of the slot reuses them.
+struct KernelFacts {
+  uint64_t Hash = 0;
+  Occupancy Occ;
+};
+
 class BlockMemo;
 class SimCache;
 
 /// Runs kernels on a modeled device. The run methods are const: a single
 /// Simulator may be shared by concurrent search tasks, provided no two
-/// tasks simulate the same KernelFunction object at once (the interpreter
-/// writes resolution scratch on the AST nodes).
+/// tasks simulate the same kernel body at once (the interpreter writes
+/// resolution scratch on the AST nodes, and kernels made by shareKernel
+/// share their nodes).
 class Simulator {
 public:
   explicit Simulator(DeviceSpec Device) : Dev(std::move(Device)) {}
@@ -141,11 +151,13 @@ public:
   /// \p Memo (sim/BlockMemo.h) and an empty \p Buffers, blocks an earlier
   /// run of the same body simulated are added from the memo instead of
   /// executed; the result is bit-identical either way. Site-tracking runs
-  /// ignore the memo.
+  /// ignore the memo. \p Facts, when given, must hold \p K's hash and its
+  /// occupancy on this device; the run then recomputes neither.
   PerfResult runPerformance(const KernelFunction &K, BufferSet &Buffers,
                             DiagnosticsEngine &Diags,
                             const PerfOptions &Options = PerfOptions(),
-                            BlockMemo *Memo = nullptr) const;
+                            BlockMemo *Memo = nullptr,
+                            const KernelFacts *Facts = nullptr) const;
 
   /// Interpreter executions through this Simulator that requested the
   /// vector engine but fell back to the scalar walk. Cache hits skip the

@@ -466,7 +466,7 @@ void VectorExec::execLoad(const BcAccess &AC, const uint8_t *M) {
     const bool FoldMM = Collect && MM && MMOpen;
     MemoryModel::Access Group[32];
     int GroupCount = 0;
-    long long GroupHW = -1;
+    long long GroupEnd = 0; // first thread past the group's half-warp
     const int HalfWarp = FoldMM ? MM->halfWarp() : 16;
     if (BufferRaces)
       RunBegin.push_back(Pending.size());
@@ -483,12 +483,16 @@ void VectorExec::execLoad(const BcAccess &AC, const uint8_t *M) {
         continue;
       }
       if (FoldMM) {
-        const long long HW = T / HalfWarp;
-        if (HW != GroupHW && GroupCount) {
-          MM->foldSharedGroup(AL * 4, Group, GroupCount, *St);
-          GroupCount = 0;
+        // T ascends, so T leaves the group's half-warp exactly when it
+        // reaches GroupEnd.
+        if (T >= GroupEnd) {
+          if (GroupCount) {
+            MM->foldSharedGroup(AL * 4, Group, GroupCount, *St);
+            GroupCount = 0;
+          }
+          while (GroupEnd <= T)
+            GroupEnd += HalfWarp;
         }
-        GroupHW = HW;
         Group[GroupCount++] = {T, SA.ByteOffset + (FloatOff - Base) * 4};
       }
       const long long Abs = RegionP[static_cast<size_t>(T)] + FloatOff;
@@ -556,7 +560,7 @@ void VectorExec::execStore(const BcAccess &AC, const uint8_t *M) {
     const bool FoldMM = Collect && MM && MMOpen;
     MemoryModel::Access Group[32];
     int GroupCount = 0;
-    long long GroupHW = -1;
+    long long GroupEnd = 0; // first thread past the group's half-warp
     const int HalfWarp = FoldMM ? MM->halfWarp() : 16;
     if (BufferRaces)
       RunBegin.push_back(Pending.size());
@@ -570,12 +574,14 @@ void VectorExec::execStore(const BcAccess &AC, const uint8_t *M) {
         continue;
       }
       if (FoldMM) {
-        const long long HW = T / HalfWarp;
-        if (HW != GroupHW && GroupCount) {
-          MM->foldSharedGroup(AL * 4, Group, GroupCount, *St);
-          GroupCount = 0;
+        if (T >= GroupEnd) {
+          if (GroupCount) {
+            MM->foldSharedGroup(AL * 4, Group, GroupCount, *St);
+            GroupCount = 0;
+          }
+          while (GroupEnd <= T)
+            GroupEnd += HalfWarp;
         }
-        GroupHW = HW;
         Group[GroupCount++] = {T, SA.ByteOffset + (FloatOff - Base) * 4};
       }
       const long long Abs = RegionP[static_cast<size_t>(T)] + FloatOff;
