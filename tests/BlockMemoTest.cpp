@@ -416,6 +416,63 @@ TEST(BlockMemoReuse, LaneCountDoesNotChangeTheCounters) {
   }
 }
 
+/// A camping transpose that fails both memo rules: a loaded value steers
+/// the branch (V), and `out` is read and written (D). Its pure-remap
+/// copies share their build's body with no memo, so only the grouped
+/// schedule keeps two runs of one body off two lanes at once.
+const char *const GuardedTranspose =
+    "#pragma gpuc output(out)\n"
+    "__global__ void guarded_tp(float in[2048][2048], "
+    "float out[2048][2048]) {\n"
+    "  if (in[idy][idx] > 0) {\n"
+    "    out[idx][idy] = out[idx][idy] + in[idy][idx];\n"
+    "  }\n"
+    "}\n";
+
+TEST(BlockMemoReuse, CopiesOfAMemolessBodyRunInTheirBuildsTask) {
+  for (bool Exhaustive : {false, true}) {
+    auto Search = [&](int Jobs) {
+      Module M;
+      KernelFunction *Naive = parseOne(M, GuardedTranspose);
+      EXPECT_NE(Naive, nullptr);
+      EXPECT_FALSE(BlockMemo::appliesTo(*Naive));
+      DiagnosticsEngine D;
+      GpuCompiler GC(M, D);
+      CompileOptions Opt;
+      Opt.Jobs = Jobs;
+      Opt.ExhaustiveSearch = Exhaustive;
+      CompileOutput Out = GC.compile(*Naive, Opt);
+      EXPECT_NE(Out.Best, nullptr) << D.str() << Out.Log;
+      EXPECT_EQ(Out.Search.Jobs, Jobs);
+      int Copies = 0;
+      std::vector<std::string> Results;
+      for (const VariantResult &V : Out.Variants) {
+        const std::string Layout = V.Layout;
+        Copies += Layout != "identity" && Layout != "offset";
+        Results.push_back(strFormat("%s b%d t%d lb=%.17g ", V.Layout,
+                                    V.BlockMergeN, V.ThreadMergeM,
+                                    V.LowerBoundMs) +
+                          encoded(V.Perf));
+      }
+      EXPECT_GT(Copies, 0) << "the search must make pure-remap copies";
+      if (Out.Best)
+        Results.push_back(printKernel(*Out.Best) +
+                          strFormat("%.17g", Out.BestVariant.Perf.TimeMs));
+      const SearchStats &S = Out.Search;
+      Results.push_back(strFormat(
+          "blocks %llu/%llu cache %llu/%llu",
+          static_cast<unsigned long long>(S.BlocksSimulated),
+          static_cast<unsigned long long>(S.BlocksReused),
+          static_cast<unsigned long long>(S.CacheHits),
+          static_cast<unsigned long long>(S.CacheMisses)));
+      EXPECT_EQ(S.BlocksReused, 0u);
+      return Results;
+    };
+    EXPECT_EQ(Search(4), Search(1))
+        << (Exhaustive ? "exhaustive" : "pruned");
+  }
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
