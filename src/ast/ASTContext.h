@@ -124,8 +124,6 @@ public:
     return Prefix + std::to_string(NextId++);
   }
 
-  size_t numNodes() const { return Exprs.size() + Stmts.size(); }
-
 private:
   std::vector<std::unique_ptr<Expr>> Exprs;
   std::vector<std::unique_ptr<Stmt>> Stmts;

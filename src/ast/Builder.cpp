@@ -51,13 +51,6 @@ Expr *KernelBuilder::at(const std::string &Base, std::vector<Expr *> Indices) {
   return Ctx.arrayRef(Base, std::move(Indices), lookupElemTy(Base));
 }
 
-Expr *KernelBuilder::atVec(const std::string &Base, Expr *Index,
-                           int VecWidth) {
-  assert((VecWidth == 2 || VecWidth == 4) && "bad vector width");
-  Type Ty = VecWidth == 2 ? Type::float2Ty() : Type::float4Ty();
-  return Ctx.arrayRef(Base, {Index}, Ty, VecWidth);
-}
-
 void KernelBuilder::decl(const std::string &Name, Type Ty, Expr *Init) {
   top()->append(Ctx.declScalar(Name, Ty, Init));
 }

@@ -65,8 +65,6 @@ public:
   /// Global or shared array access; element type is looked up from the
   /// parameter list / shared declarations seen so far.
   Expr *at(const std::string &Base, std::vector<Expr *> Indices);
-  /// float2/float4 reinterpreting access into a float array.
-  Expr *atVec(const std::string &Base, Expr *Index, int VecWidth);
 
   Expr *fieldX(Expr *E) { return Ctx.member(E, 0); }
   Expr *fieldY(Expr *E) { return Ctx.member(E, 1); }

@@ -196,18 +196,6 @@ public:
     return Kernels;
   }
 
-  KernelFunction *firstKernel() const {
-    return Kernels.empty() ? nullptr : Kernels.front().get();
-  }
-
-  /// \returns the kernel named \p Name, or null.
-  KernelFunction *findKernel(const std::string &Name) const {
-    for (const auto &K : Kernels)
-      if (K->name() == Name)
-        return K.get();
-    return nullptr;
-  }
-
   /// Pipeline stage order for multi-kernel translation units, from the
   /// `#pragma gpuc pipeline(a -> b -> ...)` clause: each stage's declared
   /// output arrays feed same-named array parameters of later stages.

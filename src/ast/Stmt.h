@@ -135,7 +135,6 @@ public:
   void setCond(Expr *E) { Cond = E; }
   CompoundStmt *thenBody() const { return Then; }
   CompoundStmt *elseBody() const { return Else; }
-  void setThenBody(CompoundStmt *S) { Then = S; }
   void setElseBody(CompoundStmt *S) { Else = S; }
 
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::If; }

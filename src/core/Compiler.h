@@ -164,7 +164,6 @@ struct VariantResult {
   /// variant's compile is making its kernel over its build's body).
   double CompileWallMs = 0;
   double SimWallMs = 0;
-  double timeMs() const { return Perf.TimeMs; }
 };
 
 /// Counters describing one design-space search (gpucc --search-stats).

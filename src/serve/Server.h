@@ -115,7 +115,6 @@ public:
   void stop();
   bool running() const { return Running.load(); }
 
-  const std::string &socketPath() const { return Opts.SocketPath; }
   unsigned workers() const { return NumWorkers; }
 
   ServerStats stats() const;

@@ -176,8 +176,6 @@ private:
 
   // Resolution.
   bool bindGlobal(const ParamDecl &P, UnboundArrays Unbound, GlobalArray &G);
-  void resolveStmt(Stmt *S);
-  void resolveExprTree(Expr *E);
   int slotFor(const std::string &Name);
 
   // Execution over the current group.

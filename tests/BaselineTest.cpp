@@ -123,44 +123,3 @@ TEST(BandwidthKernels, AllWidthsCorrect) {
           << "width " << W;
   }
 }
-
-TEST(Figure13Shape, CompilerBeatsFixedConfigLibraryOnMv) {
-  // Figure 13/16: the empirically-searched compiler output beats the
-  // fixed-configuration library kernel for mv at camping-prone sizes.
-  const long long N = 2048;
-  Module M;
-  DiagnosticsEngine D;
-  KernelFunction *Naive = parseNaive(M, Algo::MV, N, D);
-  ASSERT_NE(Naive, nullptr);
-  GpuCompiler GC(M, D);
-  CompileOutput Ours = GC.compile(*Naive);
-  ASSERT_NE(Ours.Best, nullptr);
-  KernelFunction *Lib = cublasLikeKernel(M, Algo::MV, N, D);
-  ASSERT_NE(Lib, nullptr);
-  Simulator Sim(DeviceSpec::gtx280());
-  BufferSet B1, B2;
-  PerfResult ROurs = Sim.runPerformance(*Ours.Best, B1, D);
-  PerfResult RLib = Sim.runPerformance(*Lib, B2, D);
-  ASSERT_TRUE(ROurs.Valid && RLib.Valid);
-  EXPECT_LT(ROurs.TimeMs, RLib.TimeMs);
-}
-
-TEST(Figure13Shape, MmIsCloseToVolkovStyleLibrary) {
-  const long long N = 1024;
-  Module M;
-  DiagnosticsEngine D;
-  KernelFunction *Naive = parseNaive(M, Algo::MM, N, D);
-  ASSERT_NE(Naive, nullptr);
-  GpuCompiler GC(M, D);
-  CompileOutput Ours = GC.compile(*Naive);
-  ASSERT_NE(Ours.Best, nullptr);
-  KernelFunction *Lib = cublasLikeKernel(M, Algo::MM, N, D);
-  ASSERT_NE(Lib, nullptr);
-  Simulator Sim(DeviceSpec::gtx280());
-  BufferSet B1, B2;
-  PerfResult ROurs = Sim.runPerformance(*Ours.Best, B1, D);
-  PerfResult RLib = Sim.runPerformance(*Lib, B2, D);
-  ASSERT_TRUE(ROurs.Valid && RLib.Valid);
-  // "superior or very close": within 25% either way, never much worse.
-  EXPECT_LT(ROurs.TimeMs, RLib.TimeMs * 1.25);
-}

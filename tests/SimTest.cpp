@@ -718,25 +718,6 @@ TEST(PerfMode, EqualTrafficSitesAreOrderedByLabel) {
                                               "store out[idx]"}));
 }
 
-TEST(PerfMode, BandwidthTableOrdering) {
-  // Section 2's GTX 280 table: float2 slightly beats float; float4 is
-  // slower than both.
-  Module M;
-  Simulator Sim(DeviceSpec::gtx280());
-  DiagnosticsEngine D;
-  double GBs[3];
-  int I = 0;
-  for (int W : {1, 2, 4}) {
-    KernelFunction *K = bandwidthCopyKernel(M, W, 1 << 22);
-    BufferSet B;
-    PerfResult R = Sim.runPerformance(*K, B, D);
-    ASSERT_TRUE(R.Valid) << D.str();
-    GBs[I++] = R.effectiveBandwidthGBs(2.0 * 4.0 * (1 << 22));
-  }
-  EXPECT_GT(GBs[1], GBs[0]);
-  EXPECT_GT(GBs[0], GBs[2]);
-}
-
 TEST(Timing, LaunchOverheadCountsGlobalSyncs) {
   DeviceSpec Dev = DeviceSpec::gtx280();
   SimStats S;
