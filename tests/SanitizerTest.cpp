@@ -4,8 +4,9 @@
 // compiler-optimized kernel race-free, agree with the simulator's dynamic
 // race sanitizer, and flag seeded barrier-removal mutants with the correct
 // witness phase. Lints must fire on out-of-bounds and bank-conflicted
-// shared accesses, and the Verifier must reject barriers inside loops with
-// thread-dependent trip counts.
+// shared accesses, verdict mode (--lint=strict) must qualify each finding
+// as proven or possible, and the Verifier must reject barriers inside
+// loops with thread-dependent trip counts.
 //
 //===----------------------------------------------------------------------===//
 
@@ -388,6 +389,139 @@ TEST(Lint, CleanKernelHasNoWarnings) {
   LintOptions LO;
   LO.Coalescing = false; // a toy kernel need not be coalesced
   EXPECT_EQ(lintKernel(*K, D, LO), 0) << D.str();
+}
+
+namespace {
+
+/// Lints \p Src in verdict mode (gpucc --lint=strict) under the half-warp
+/// launch; \returns the warnings' text and their count in \p Warnings.
+std::string strictLint(const char *Src, bool Coalescing, int &Warnings) {
+  Module M;
+  DiagnosticsEngine D;
+  KernelFunction *K = parseSource(M, Src, D);
+  Warnings = 0;
+  if (!K)
+    return "";
+  setNaiveLaunch(*K);
+  LintOptions LO;
+  LO.Strict = true;
+  LO.Coalescing = Coalescing;
+  Warnings = lintKernel(*K, D, LO);
+  return D.str();
+}
+
+bool mentions(const std::string &Text, const char *Phrase) {
+  return Text.find(Phrase) != std::string::npos;
+}
+
+} // namespace
+
+TEST(StrictLint, ReportsProvenOutOfBoundsStore) {
+  int N = 0;
+  std::string T = strictLint("#pragma gpuc output(out)\n"
+                             "#pragma gpuc domain(64,1)\n"
+                             "__global__ void k(float out[64]) {\n"
+                             "  out[idx + 64] = 1.0f;\n"
+                             "}\n",
+                             /*Coalescing=*/false, N);
+  EXPECT_EQ(N, 1) << T;
+  EXPECT_TRUE(mentions(T, "store of 'out[(idx+64)]' is proven out of bounds"))
+      << T;
+}
+
+TEST(StrictLint, ReportsPossiblyOutOfBoundsLoad) {
+  // tidx * tidx has no affine form: in bounds cannot be proven, and the
+  // fault cannot be proven either.
+  int N = 0;
+  std::string T = strictLint("#pragma gpuc output(out)\n"
+                             "#pragma gpuc domain(64,1)\n"
+                             "__global__ void k(float in[64], "
+                             "float out[64]) {\n"
+                             "  int i = tidx * tidx;\n"
+                             "  out[idx] = in[i];\n"
+                             "}\n",
+                             /*Coalescing=*/false, N);
+  EXPECT_EQ(N, 1) << T;
+  EXPECT_TRUE(mentions(T, "load of 'in[i]' is possibly out of bounds "
+                          "(in-bounds not proven)"))
+      << T;
+  EXPECT_FALSE(mentions(T, "proven out of bounds")) << T;
+}
+
+TEST(StrictLint, ClampedHaloStaysQuiet) {
+  // The guard clips i to [0, 62]; the engine proves both accesses in
+  // bounds, so verdict mode has nothing to say about them.
+  int N = 0;
+  std::string T = strictLint("#pragma gpuc output(out)\n"
+                             "#pragma gpuc domain(64,1)\n"
+                             "__global__ void k(float in[64], "
+                             "float out[64]) {\n"
+                             "  int i = idx - 1;\n"
+                             "  if (i >= 0) {\n"
+                             "    out[i] = in[i];\n"
+                             "  }\n"
+                             "}\n",
+                             /*Coalescing=*/false, N);
+  EXPECT_EQ(N, 0) << T;
+}
+
+TEST(StrictLint, QualifiesBankConflictsProvenOrPossible) {
+  // Every half-warp lane of both stores lands in bank 0 (column 0) or
+  // bank 1 (column 1). The unguarded store's conflict is proven; the
+  // guard masks lanes off the second, so its all-lanes degree is only
+  // possible.
+  int N = 0;
+  std::string T = strictLint("#pragma gpuc output(out)\n"
+                             "__global__ void k(float out[16][16]) {\n"
+                             "  __shared__ float tile[16][16];\n"
+                             "  tile[tidx][0] = 1;\n"
+                             "  if (tidx < 8) {\n"
+                             "    tile[tidx][1] = 2;\n"
+                             "  }\n"
+                             "  __syncthreads();\n"
+                             "  out[idy][idx] = tile[0][tidx];\n"
+                             "}\n",
+                             /*Coalescing=*/false, N);
+  EXPECT_EQ(N, 2) << T;
+  EXPECT_TRUE(mentions(T, "proven 16-way shared-memory bank conflict on "
+                          "tile[tidx][0]"))
+      << T;
+  EXPECT_TRUE(mentions(T, "possible 16-way shared-memory bank conflict on "
+                          "tile[tidx][1]"))
+      << T;
+}
+
+TEST(StrictLint, ReportsPossiblyNonCoalescedLoad) {
+  // Default mode stays silent on an address it cannot resolve; verdict
+  // mode reports it as possible.
+  int N = 0;
+  std::string T = strictLint("#pragma gpuc output(out)\n"
+                             "#pragma gpuc domain(16,1)\n"
+                             "__global__ void k(float in[256], "
+                             "float out[16]) {\n"
+                             "  out[idx] = in[tidx * tidx];\n"
+                             "}\n",
+                             /*Coalescing=*/true, N);
+  EXPECT_EQ(N, 1) << T;
+  EXPECT_TRUE(mentions(T, "global load in[(tidx*tidx)] is possibly "
+                          "non-coalesced (address not statically "
+                          "resolvable)"))
+      << T;
+}
+
+TEST(StrictLint, ReportsProvenlyNotCoalescedLoad) {
+  int N = 0;
+  std::string T = strictLint("#pragma gpuc output(out)\n"
+                             "__global__ void k(float in[16][16], "
+                             "float out[16][16]) {\n"
+                             "  out[idy][idx] = in[idx][idy];\n"
+                             "}\n",
+                             /*Coalescing=*/true, N);
+  EXPECT_EQ(N, 1) << T;
+  EXPECT_TRUE(mentions(T, "global load in[idx][idy] is provenly not "
+                          "coalesced ("))
+      << T;
+  EXPECT_TRUE(mentions(T, "thread stride 64 bytes)")) << T;
 }
 
 //===----------------------------------------------------------------------===//
