@@ -3,6 +3,7 @@
 #include "analysis/Lint.h"
 
 #include "analysis/Dataflow.h"
+#include "analysis/SharedAccess.h"
 #include "ast/Printer.h"
 #include "core/Accesses.h"
 #include "core/Coalescing.h"
@@ -16,29 +17,29 @@ using namespace gpuc;
 
 namespace {
 
+/// Shared-memory banks on the paper's hardware.
+constexpr int SharedBanks = 16;
+
 class Linter {
 public:
   Linter(KernelFunction &K, DiagnosticsEngine &Diags, const LintOptions &Opt)
       : K(K), Diags(Diags), Opt(Opt) {}
 
   int run() {
-    if (Opt.OutOfBounds || Opt.Coalescing)
-      Globals = collectGlobalAccesses(K);
-    if (Opt.OutOfBounds && Opt.Strict) {
+    Globals = collectGlobalAccesses(K);
+    if (Opt.Strict) {
       // Verdict mode: the dataflow engine subsumes both bounds lints and
       // sees through guards instead of skipping them.
       Facts = runDataflow(K);
       lintStrictBounds();
-    } else if (Opt.OutOfBounds) {
+    } else {
       collectGuarded(K.body(), /*UnderIf=*/false);
       lintGlobalBounds();
     }
-    if ((Opt.OutOfBounds && !Opt.Strict) || Opt.BankConflicts)
-      Model = buildPhaseModel(K, Opt.Phases);
-    if (Opt.OutOfBounds && !Opt.Strict)
+    Model = buildPhaseModel(K);
+    if (!Opt.Strict)
       lintSharedBounds();
-    if (Opt.BankConflicts)
-      lintBankConflicts();
+    lintBankConflicts();
     if (Opt.Coalescing)
       lintCoalescing();
     return NumWarnings;
@@ -239,9 +240,8 @@ private:
         long long Tx = Flat % L.BlockDimX;
         long long Ty = Flat / L.BlockDimX;
         long long Word = A.FlatFloat.evaluate(Tx, Ty, 0, 0, Values);
-        BankWords[((Word % Opt.SharedBanks) + Opt.SharedBanks) %
-                  Opt.SharedBanks]
-            .insert(Word);
+        BankWords[((Word % SharedBanks) + SharedBanks) % SharedBanks].insert(
+            Word);
       }
       size_t Degree = 1;
       for (const auto &[Bank, WordsInBank] : BankWords)
@@ -255,7 +255,7 @@ private:
                        : GuardMasked        ? "possible "
                                             : "proven ",
                        Degree, printExpr(A.Ref).c_str(), Degree,
-                       Opt.SharedBanks));
+                       SharedBanks));
     }
   }
 

@@ -24,15 +24,13 @@
 #ifndef GPUC_ANALYSIS_LINT_H
 #define GPUC_ANALYSIS_LINT_H
 
-#include "analysis/SharedAccess.h"
+#include "ast/Kernel.h"
 #include "support/Diagnostics.h"
 
 namespace gpuc {
 
-/// Which lints to run.
+/// How to lint. The bounds and bank-conflict lints always run.
 struct LintOptions {
-  bool OutOfBounds = true;
-  bool BankConflicts = true;
   bool Coalescing = true;
   /// Verdict mode (gpucc --lint=strict): bounds lints come from the
   /// abstract-interpretation engine (analysis/Dataflow.h) and every
@@ -41,14 +39,11 @@ struct LintOptions {
   /// (the clamped-halo idiom) stays quiet, an unprovable one reports as
   /// "possible", and an access proven to fault reports as "proven".
   bool Strict = false;
-  /// Number of shared-memory banks (16 on the paper's hardware).
-  int SharedBanks = 16;
   /// Prefix for messages, e.g. the pipeline stage name.
   std::string Context;
-  PhaseModelOptions Phases;
 };
 
-/// Runs the enabled lints over \p K, reporting warnings to \p Diags.
+/// Runs the lints over \p K, reporting warnings to \p Diags.
 /// \returns the number of warnings produced.
 int lintKernel(KernelFunction &K, DiagnosticsEngine &Diags,
                const LintOptions &Opt = LintOptions());

@@ -29,6 +29,11 @@ std::string RaceFinding::str() const {
 
 namespace {
 
+/// Max free-loop value combinations enumerated per access.
+constexpr long long MaxCombos = 4096;
+/// Max findings reported (further races are counted but dropped).
+constexpr int MaxFindings = 16;
+
 /// First occupant of one shared word within a phase.
 struct Occupant {
   int Tx = -1, Ty = -1;
@@ -41,11 +46,10 @@ struct Occupant {
 
 class RaceScan {
 public:
-  RaceScan(const KernelFunction &K, const RaceDetectOptions &Opt)
-      : K(K), Opt(Opt) {}
+  explicit RaceScan(const KernelFunction &K) : K(K) {}
 
   RaceReport run() {
-    PhaseModel Model = buildPhaseModel(K, Opt.Phases);
+    PhaseModel Model = buildPhaseModel(K);
     Report.Analyzable = Model.Analyzable;
     Report.Sampled = Model.Sampled;
     Report.Notes = Model.Problems;
@@ -194,11 +198,11 @@ private:
     long long Combos = 1;
     for (const EnumLoop *L : Loops)
       Combos *= static_cast<long long>(L->Values.size());
-    if (Combos > Opt.MaxCombos) {
+    if (Combos > MaxCombos) {
       Report.Sampled = true;
       Report.Notes.push_back(strFormat(
           "access %s enumerates %lld loop combinations; sampled to %lld",
-          printExpr(A.Ref).c_str(), Combos, Opt.MaxCombos));
+          printExpr(A.Ref).c_str(), Combos, MaxCombos));
     }
 
     // The same-value signature is usable only when every loop iterator it
@@ -239,7 +243,7 @@ private:
         }
       }
       ++Done;
-    } while (Done < Opt.MaxCombos && advance(Pos, Loops));
+    } while (Done < MaxCombos && advance(Pos, Loops));
   }
 
   static bool advance(std::vector<size_t> &Pos,
@@ -295,7 +299,7 @@ private:
     auto Key = std::make_tuple(A1.Ref, A2.Ref, Phase, WriteWrite);
     if (!Seen.insert(Key).second)
       return;
-    if (static_cast<int>(Report.Findings.size()) >= Opt.MaxFindings)
+    if (static_cast<int>(Report.Findings.size()) >= MaxFindings)
       return;
     RaceFinding F;
     F.Array = A1.Decl->name();
@@ -318,7 +322,6 @@ private:
   };
 
   const KernelFunction &K;
-  const RaceDetectOptions &Opt;
   RaceReport Report;
   DataflowResult Facts;
   std::unordered_map<long long, WordState> Words;
@@ -327,7 +330,6 @@ private:
 
 } // namespace
 
-RaceReport gpuc::detectSharedRaces(const KernelFunction &K,
-                                   const RaceDetectOptions &Opt) {
-  return RaceScan(K, Opt).run();
+RaceReport gpuc::detectSharedRaces(const KernelFunction &K) {
+  return RaceScan(K).run();
 }

@@ -64,19 +64,10 @@ struct RaceReport {
   bool clean() const { return Findings.empty() && Analyzable; }
 };
 
-/// Limits for the symbolic enumeration.
-struct RaceDetectOptions {
-  PhaseModelOptions Phases;
-  /// Max free-loop value combinations enumerated per access.
-  long long MaxCombos = 4096;
-  /// Max findings reported (further races are counted but dropped).
-  int MaxFindings = 16;
-};
-
-/// Runs the detector on \p K under its current launch configuration.
-RaceReport detectSharedRaces(const KernelFunction &K,
-                             const RaceDetectOptions &Opt =
-                                 RaceDetectOptions());
+/// Runs the detector on \p K under its current launch configuration. It
+/// enumerates at most 4096 free-loop value combinations per access and
+/// reports at most 16 findings.
+RaceReport detectSharedRaces(const KernelFunction &K);
 
 } // namespace gpuc
 

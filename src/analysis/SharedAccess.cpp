@@ -12,6 +12,11 @@ using namespace gpuc;
 
 namespace {
 
+/// Max unrolled iterations of a loop containing a barrier.
+constexpr int SyncLoopCap = 256;
+/// Max enumerated values per barrier-free loop iterator.
+constexpr int FreeLoopValueCap = 18;
+
 bool containsBarrier(const Stmt *S) {
   bool Found = false;
   forEachStmt(const_cast<Stmt *>(S), [&](Stmt *Sub) {
@@ -49,8 +54,7 @@ bool buildConstAffine(const Expr *E, const KernelFunction &K,
 
 class PhaseBuilder {
 public:
-  PhaseBuilder(const KernelFunction &K, const PhaseModelOptions &Opt)
-      : K(K), Opt(Opt) {
+  explicit PhaseBuilder(const KernelFunction &K) : K(K) {
     for (const DeclStmt *D : K.sharedDecls())
       SharedByName[D->name()] = D;
   }
@@ -225,7 +229,7 @@ private:
     collectReads(F->bound());
     collectReads(F->step());
     if (!containsBarrier(F->body())) {
-      EnumLoop L = enumerateLoopValues(F, K, SyncIters, Opt.FreeLoopValueCap);
+      EnumLoop L = enumerateLoopValues(F, K, SyncIters, FreeLoopValueCap);
       if (L.Capped)
         Model.Sampled = true;
       FreeLoops.push_back(std::move(L));
@@ -244,7 +248,7 @@ private:
       walkStmt(F->body()); // still collect accesses and count phases once
       return;
     }
-    EnumLoop L = enumerateLoopValues(F, K, SyncIters, Opt.SyncLoopCap);
+    EnumLoop L = enumerateLoopValues(F, K, SyncIters, SyncLoopCap);
     if (!L.Resolved) {
       problem(strFormat("cannot resolve trip count of loop '%s' containing "
                         "a barrier (thread-dependent or data-dependent "
@@ -258,7 +262,7 @@ private:
       Model.Sampled = true;
       problem(strFormat("loop '%s' containing a barrier unrolled for its "
                         "first %d iterations only",
-                        F->iterName().c_str(), Opt.SyncLoopCap),
+                        F->iterName().c_str(), SyncLoopCap),
               /*Fatal=*/false);
     }
     for (long long V : L.Values) {
@@ -388,7 +392,6 @@ private:
   }
 
   const KernelFunction &K;
-  const PhaseModelOptions &Opt;
   PhaseModel Model;
   int Phase = 0;
   std::map<std::string, long long> SyncIters;
@@ -504,7 +507,6 @@ bool gpuc::guardHolds(const AccessGuard &G, long long Tidx, long long Tidy,
   }
 }
 
-PhaseModel gpuc::buildPhaseModel(const KernelFunction &K,
-                                 const PhaseModelOptions &Opt) {
-  return PhaseBuilder(K, Opt).run();
+PhaseModel gpuc::buildPhaseModel(const KernelFunction &K) {
+  return PhaseBuilder(K).run();
 }

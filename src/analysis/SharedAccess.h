@@ -35,8 +35,8 @@
 namespace gpuc {
 
 /// One barrier-free enclosing loop of an access, with the iterator values
-/// to enumerate (first FreeLoopValueCap values; behaviour is periodic for
-/// affine subscripts, mirroring the 16-iteration argument of Section 3.2).
+/// to enumerate (the first 18 values; behaviour is periodic for affine
+/// subscripts, mirroring the 16-iteration argument of Section 3.2).
 struct EnumLoop {
   std::string Name;
   std::vector<long long> Values;
@@ -103,17 +103,9 @@ struct PhaseModel {
   std::vector<std::string> Problems;
 };
 
-/// Caps for symbolic unrolling / enumeration.
-struct PhaseModelOptions {
-  /// Max unrolled iterations of a loop containing a barrier.
-  int SyncLoopCap = 256;
-  /// Max enumerated values per barrier-free loop iterator.
-  int FreeLoopValueCap = 18;
-};
-
 /// Builds the phase model of \p K under its current launch configuration.
-PhaseModel buildPhaseModel(const KernelFunction &K,
-                           const PhaseModelOptions &Opt = PhaseModelOptions());
+/// A loop containing a barrier unrolls for at most 256 iterations.
+PhaseModel buildPhaseModel(const KernelFunction &K);
 
 /// Enumerates the first \p Cap values of loop \p F given concrete bindings
 /// for enclosing sync-loop iterators. Handles the canonical Add loops and

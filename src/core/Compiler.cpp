@@ -72,6 +72,23 @@ bool needsTransposeTile(KernelFunction &K) {
   return false;
 }
 
+/// Stores \p Entry, a clean search's winner, under \p Key in the disk
+/// tier so a later process can reuse it without re-searching. An entry
+/// already there must match it in text and merge factors: a mismatch
+/// means a stale or foreign entry (the schema version should have been
+/// bumped), and the fresh result overwrites it, so cached and uncached
+/// runs can never diverge. \returns true when it replaced such an entry.
+bool publishWinner(DiskCache &Disk, uint64_t Key, const CachedCompile &Entry) {
+  CachedCompile Existing;
+  const bool Found = Disk.loadText(Key, Existing);
+  if (Found && Existing.KernelText == Entry.KernelText &&
+      Existing.BlockMergeN == Entry.BlockMergeN &&
+      Existing.ThreadMergeM == Entry.ThreadMergeM)
+    return false;
+  Disk.storeText(Key, Entry);
+  return Found;
+}
+
 } // namespace
 
 uint64_t gpuc::compileCacheKey(const KernelFunction &Naive,
@@ -86,7 +103,6 @@ uint64_t gpuc::compileCacheKey(const KernelFunction &Naive,
   Flags |= Opt.Prefetch ? 1u << 3 : 0;
   Flags |= Opt.PartitionElim ? 1u << 4 : 0;
   Flags |= Opt.Fold ? 1u << 5 : 0;
-  Flags |= Opt.Verify ? 1u << 6 : 0;
   // Pruning provably never changes the winner (test-enforced), but keying
   // on it is free and keeps the entry's provenance unambiguous.
   Flags |= Opt.ExhaustiveSearch ? 1u << 7 : 0;
@@ -114,17 +130,16 @@ KernelFunction *GpuCompiler::compileVariant(const KernelFunction &Naive,
   ASTContext &Ctx = M.context();
 
   // Per-stage observer (the sanitizer layer): every intermediate kernel is
-  // announced, and the last announcement on each return path is final. A
-  // HookFactory binds to this compiler's engine, which in a search task is
-  // the task's own — that's what keeps hooked searches parallel.
-  StageHook Hook = Opt.Hook;
-  if (!Hook && Opt.HookFactory)
-    Hook = Opt.HookFactory(Diags);
+  // announced, and the last announcement on each return path is final. The
+  // hook binds to this compiler's engine, which in a search task is the
+  // task's own — that's what keeps hooked searches parallel.
+  const StageHook Hook = Opt.HookFactory ? Opt.HookFactory(Diags) : nullptr;
   auto Stage = [&](const char *StageName, bool Final = false) {
     if (Hook)
       Hook(StageName, *V, Final);
   };
-  // Paths that skip the Verify step run the engine just for the verdict.
+  // Paths that end before the Verify step run the engine just for the
+  // verdict.
   auto Finish = [&] {
     if (ViolationOut)
       *ViolationOut = runDataflow(*V).anyViolation();
@@ -205,8 +220,6 @@ KernelFunction *GpuCompiler::compileVariant(const KernelFunction &Naive,
   if (Opt.Fold)
     foldKernel(*V, Ctx);
 
-  if (!Opt.Verify)
-    return Finish();
   for (const std::string &Violation : verifyKernel(*V))
     Diags.error(SourceLocation(),
                 strFormat("%s: %s", V->name().c_str(), Violation.c_str()));
@@ -243,9 +256,9 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
   const LayoutPoint Identity = LayoutPoint::identityPoint();
   CampingAnalysis Scan;
   bool ProbeViolation = false;
-  KernelFunction *Probe = compileVariant(
-      Naive, Opt, /*BlockN=*/1, /*ThreadM=*/1, &Out.Plan, &Out.Camping,
-      &Identity, &Scan, Opt.StaticPrune ? &ProbeViolation : nullptr);
+  KernelFunction *Probe =
+      compileVariant(Naive, Opt, /*BlockN=*/1, /*ThreadM=*/1, &Out.Plan,
+                     &Out.Camping, &Identity, &Scan, &ProbeViolation);
   if (!Probe || Diags.hasErrors()) {
     Out.Log += "probe compilation failed\n";
     return Out;
@@ -294,7 +307,7 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
     /// within a phase) and occupancy (Phase B), which every probe and
     /// full run of the slot reuses.
     KernelFacts Facts;
-    /// The dataflow engine proved a violation (filled under StaticPrune).
+    /// The dataflow engine proved a violation.
     bool Violation = false;
     bool OccInfeasible = false;
     bool Probed = false;
@@ -338,14 +351,8 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
       Builds.push_back(I);
   }
 
-  // The stage hook (the sanitizer layer) observes every intermediate
-  // kernel through shared state; keep its invocation order defined by
-  // searching serially whenever one is installed.
-  unsigned Jobs = Opt.Jobs <= 0 ? ThreadPool::defaultConcurrency()
-                                : static_cast<unsigned>(Opt.Jobs);
-  if (Opt.Hook)
-    Jobs = 1;
-  ThreadPool Pool(Jobs);
+  ThreadPool Pool(Opt.Jobs <= 0 ? ThreadPool::defaultConcurrency()
+                                : static_cast<unsigned>(Opt.Jobs));
 
   SimCache LocalCache;
   SimCache *Cache = Opt.Cache ? Opt.Cache : &LocalCache;
@@ -382,9 +389,9 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
     } else {
       C.Owner = std::make_shared<Module>();
       GpuCompiler TaskCompiler(*C.Owner, C.TaskDiags);
-      C.Kernel = TaskCompiler.compileVariant(
-          Naive, Opt, C.N, C.Mm, nullptr, &C.Camp, &C.Layout, nullptr,
-          Opt.StaticPrune ? &C.Violation : nullptr);
+      C.Kernel = TaskCompiler.compileVariant(Naive, Opt, C.N, C.Mm, nullptr,
+                                             &C.Camp, &C.Layout, nullptr,
+                                             &C.Violation);
     }
     if (C.Kernel)
       C.Facts.Hash = hashKernel(*C.Kernel);
@@ -485,9 +492,9 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
     // A Violation verdict means the variant provably faults at runtime —
     // its performance run could never succeed, so skip probe and
     // simulation outright. The fuzz oracle's static/dynamic differential
-    // keeps this sound, which is what guarantees identical winners with
-    // pruning on or off.
-    if (Opt.StaticPrune && C.Violation) {
+    // keeps this sound, which is what guarantees the skip never changes
+    // the winner.
+    if (C.Violation) {
       C.StaticallyPruned = true;
       return;
     }
@@ -671,32 +678,19 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
     Out.Log += "search cancelled\n";
   }
 
-  // Persist the search's winner (text + factors) so a later process can
-  // reuse it without re-searching. Only diagnostics-clean compilations are
+  // Persist the search's winner. Only diagnostics-clean compilations are
   // stored: a warm consumer that skips the search must not silently drop
-  // warnings a cold run would have printed. If a warm entry already exists
-  // it must match what this full search just produced — a mismatch means a
-  // stale or foreign entry (the schema version should have been bumped),
-  // and the freshly computed result overwrites it, so cached and uncached
-  // runs can never diverge.
+  // warnings a cold run would have printed.
   if (Opt.Disk && Out.Best && Out.BestVariant.Feasible &&
       !Diags.hasErrors() && !Diags.hasWarnings()) {
-    const uint64_t TextKey = compileCacheKey(Naive, Opt);
     CachedCompile Entry;
     Entry.KernelText = printKernel(*Out.Best);
     Entry.BlockMergeN = Out.BestVariant.BlockMergeN;
     Entry.ThreadMergeM = Out.BestVariant.ThreadMergeM;
     Entry.TimeMs = Out.BestVariant.Perf.TimeMs;
-    CachedCompile Existing;
-    if (!Opt.Disk->loadText(TextKey, Existing)) {
-      Opt.Disk->storeText(TextKey, Entry);
-    } else if (Existing.KernelText != Entry.KernelText ||
-               Existing.BlockMergeN != Entry.BlockMergeN ||
-               Existing.ThreadMergeM != Entry.ThreadMergeM) {
+    if (publishWinner(*Opt.Disk, compileCacheKey(Naive, Opt), Entry))
       Out.Log += "disk cache: stale winner entry replaced (cross-check "
                  "mismatch)\n";
-      Opt.Disk->storeText(TextKey, Entry);
-    }
   }
   if (Opt.Disk && Opt.Cache)
     Cache->setBackend(PrevBackend);
@@ -837,13 +831,12 @@ GpuCompiler::compileProgram(const std::vector<const KernelFunction *> &Stages,
   }
   Out.ProgramText = std::move(T);
 
-  // Program-level winner store, mirroring the single-kernel block above:
-  // clean compiles only, cross-check-replace on mismatch. The per-stage
-  // and fused entries were already stored by the nested compile() calls;
-  // this entry memoizes the decision and the assembled text.
+  // Program-level winner store, clean compiles only, as for one kernel.
+  // The per-stage and fused entries were already stored by the nested
+  // compile() calls; this entry memoizes the decision and the assembled
+  // text.
   if (Opt.Disk && Out.AllFeasible && !Diags.hasErrors() &&
       !Diags.hasWarnings()) {
-    const uint64_t TextKey = programCacheKey(Stages, Opt);
     CachedCompile Entry;
     Entry.KernelText = Out.ProgramText;
     if (Out.UseFused) {
@@ -855,10 +848,7 @@ GpuCompiler::compileProgram(const std::vector<const KernelFunction *> &Stages,
       Entry.ThreadMergeM = 0;
       Entry.TimeMs = Out.UnfusedMs;
     }
-    CachedCompile Existing;
-    if (!Opt.Disk->loadText(TextKey, Existing) ||
-        Existing.KernelText != Entry.KernelText)
-      Opt.Disk->storeText(TextKey, Entry);
+    publishWinner(*Opt.Disk, programCacheKey(Stages, Opt), Entry);
   }
   return Out;
 }

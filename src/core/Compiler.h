@@ -40,19 +40,20 @@ namespace gpuc {
 class DiskCache;
 
 /// Observer invoked after each pipeline stage of compileVariant with the
-/// stage's name and the (mutable) kernel as transformed so far. Installed
-/// by the sanitizer layer (analysis/Sanitizer.h) to race-check and lint
-/// every intermediate kernel; \p Final is true for the last invocation on
-/// a variant, after folding and verification.
+/// stage's name and the (mutable) kernel as transformed so far. The
+/// sanitizer layer (analysis/Sanitizer.h) race-checks and lints every
+/// intermediate kernel through one; \p Final is true for the last
+/// invocation on a variant, after folding and verification.
 using StageHook =
     std::function<void(const char *Stage, KernelFunction &K, bool Final)>;
 
-/// Makes a task-local StageHook reporting into the given engine. Unlike a
-/// plain Hook, a factory keeps the design-space search parallel: each
-/// search task calls it once with its own DiagnosticsEngine, and the
-/// task diagnostics are replayed into the caller's engine in canonical
-/// slot order with exact duplicates collapsed — so the diagnostic stream
-/// is byte-identical for every lane count.
+/// Makes the StageHook of one compileVariant call, reporting into that
+/// call's engine. The factory keeps the design-space search parallel:
+/// each search task calls it once with its own DiagnosticsEngine, and
+/// the task diagnostics are replayed into the caller's engine in
+/// canonical slot order with exact duplicates collapsed — so the
+/// diagnostic stream is byte-identical for every lane count. A hook that
+/// observes through shared state in a defined order needs Jobs = 1.
 using StageHookFactory = std::function<StageHook(DiagnosticsEngine &Diags)>;
 
 /// The stage names compileVariant announces to StageHook, in announcement
@@ -78,27 +79,13 @@ struct CompileOptions {
   bool PartitionElim = true;
   /// Algebraic cleanup of the emitted code (understandability).
   bool Fold = true;
-  /// Re-verify structural invariants after the pipeline (violations are
-  /// reported as errors).
-  bool Verify = true;
-  /// Per-stage observer; null disables it.
-  StageHook Hook;
-  /// Parallel-safe per-stage observer (see StageHookFactory); preferred
-  /// over Hook for the sanitizer layer. Ignored when Hook is set.
+  /// Per-stage observer factory (see StageHookFactory); null disables
+  /// observation.
   StageHookFactory HookFactory;
-  /// Reject search candidates the abstract-interpretation engine
-  /// (analysis/Dataflow.h) proves will fault — an out-of-bounds access or
-  /// invalid barrier that certainly executes — without probing or
-  /// simulating them. A Violation verdict implies the dynamic run could
-  /// never have succeeded, so pruning cannot change the winner
-  /// (test-enforced); SearchStats::StaticallyPruned counts the skips.
-  bool StaticPrune = true;
   /// Lanes for the design-space search (compiling/simulating candidate
   /// variants concurrently). 0 = hardware concurrency, 1 = serial. A
   /// serial search and a parallel one select the same best variant and
-  /// produce identical output (see DESIGN.md §4). When Hook is set the
-  /// search runs serially regardless: the hook observes every stage of
-  /// every distinct variant body in a defined order.
+  /// produce identical output (see DESIGN.md §4).
   int Jobs = 0;
   /// Simulate every feasible candidate instead of pruning by the cheap
   /// lower-bound probe. Slower; selects the same winner (test-enforced).
@@ -178,7 +165,7 @@ struct SearchStats {
   /// Candidates skipped by the lower-bound threshold.
   int Pruned = 0;
   /// Candidates rejected by the dataflow engine's Violation proof before
-  /// any simulation (CompileOptions::StaticPrune).
+  /// any simulation.
   int StaticallyPruned = 0;
   int Infeasible = 0;
   /// SimCache traffic attributable to this search: in-memory hits, misses
@@ -313,7 +300,8 @@ public:
   /// the block-merge scale factors probed), which is what gates the
   /// layout enumeration. \p ViolationOut, when set, receives the dataflow
   /// engine's anyViolation() verdict on the finished kernel: the Verify
-  /// step's own engine run when Verify is on, one extra run otherwise.
+  /// step's own engine run, or one run of its own on the paths that end
+  /// before it (coalescing off, a domain not tileable by half warps).
   /// \returns null on failure.
   KernelFunction *compileVariant(const KernelFunction &Naive,
                                  const CompileOptions &Opt, int BlockN,
@@ -328,6 +316,10 @@ public:
   /// the fastest feasible one. Each distinct body is compiled once: the
   /// pure block-remap layout points at one (N, M) are kernels over that
   /// (N, M)'s identity build's body with only LaunchConfig::Remap changed.
+  /// A candidate the dataflow engine proves will fault (an out-of-bounds
+  /// access or invalid barrier that certainly executes) is rejected
+  /// without probing or simulating it: its run could never succeed, so
+  /// the rejection cannot change the winner.
   CompileOutput compile(const KernelFunction &Naive,
                         const CompileOptions &Opt = CompileOptions());
 

@@ -62,9 +62,14 @@ std::string gpuc::failureRecordJson(const FuzzCase &C) {
   return S;
 }
 
-bool gpuc::checkKernelSource(const std::string &Source,
-                             const OracleOptions &Opt, OracleResult &Result,
-                             std::string &ParseErrors) {
+namespace {
+
+/// Parses \p Source as one kernel and runs \p Oracle on it. \returns
+/// false when the source does not parse (diagnostics in \p ParseErrors).
+bool checkOneKernel(const std::string &Source, const OracleOptions &Opt,
+                    OracleResult &Result, std::string &ParseErrors,
+                    OracleResult (*Oracle)(Module &, const KernelFunction &,
+                                           const OracleOptions &)) {
   Module M;
   DiagnosticsEngine Diags;
   Parser P(Source, Diags);
@@ -73,23 +78,22 @@ bool gpuc::checkKernelSource(const std::string &Source,
     ParseErrors = Diags.str();
     return false;
   }
-  Result = runOracle(M, *K, Opt);
+  Result = Oracle(M, *K, Opt);
   return true;
+}
+
+} // namespace
+
+bool gpuc::checkKernelSource(const std::string &Source,
+                             const OracleOptions &Opt, OracleResult &Result,
+                             std::string &ParseErrors) {
+  return checkOneKernel(Source, Opt, Result, ParseErrors, runOracle);
 }
 
 bool gpuc::checkLayoutSource(const std::string &Source,
                              const OracleOptions &Opt, OracleResult &Result,
                              std::string &ParseErrors) {
-  Module M;
-  DiagnosticsEngine Diags;
-  Parser P(Source, Diags);
-  KernelFunction *K = P.parseKernel(M);
-  if (!K || Diags.hasErrors()) {
-    ParseErrors = Diags.str();
-    return false;
-  }
-  Result = runLayoutOracle(M, *K, Opt);
-  return true;
+  return checkOneKernel(Source, Opt, Result, ParseErrors, runLayoutOracle);
 }
 
 bool gpuc::checkPipelineSource(const std::string &Source,

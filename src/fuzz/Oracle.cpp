@@ -267,6 +267,17 @@ StaticClass classifyStatic(const KernelFunction &K) {
   return C;
 }
 
+/// The options every oracle compiles with: one lane (the fuzzer
+/// parallelizes across seeds, not inside a case), so the injected fault,
+/// when there is one, observes the stages in the one-lane order.
+CompileOptions oracleCompileOptions(const OracleOptions &Opt) {
+  CompileOptions CO = Opt.Compile;
+  CO.Jobs = 1;
+  if (Opt.Inject)
+    CO.HookFactory = [&Opt](DiagnosticsEngine &) { return Opt.Inject; };
+  return CO;
+}
+
 /// The sanitizer half of a judgment: a fault is a RunError, then (when
 /// \p CheckRaces) a shared-memory race is a Race. \returns false with
 /// \p F's kind and detail filled.
@@ -362,10 +373,12 @@ public:
 
     std::vector<std::pair<std::string, KernelFunction *>> Snaps;
     CompileOptions O = Opt.Compile;
-    O.Hook = [&](const char *Stage, KernelFunction &K, bool Final) {
-      if (Opt.Inject)
-        Opt.Inject(Stage, K, Final);
-      Snaps.emplace_back(Stage, cloneKernel(SnapM, &K, K.name()));
+    O.HookFactory = [&](DiagnosticsEngine &) -> StageHook {
+      return [&](const char *Stage, KernelFunction &K, bool Final) {
+        if (Opt.Inject)
+          Opt.Inject(Stage, K, Final);
+        Snaps.emplace_back(Stage, cloneKernel(SnapM, &K, K.name()));
+      };
     };
     GC.compileVariant(*Naive.front(), O, BlockN, ThreadM);
 
@@ -431,14 +444,10 @@ OracleResult gpuc::runOracle(Module &M, const KernelFunction &Naive,
   Comparator Cmp{!kernelHasFloatArith(Naive)};
   Res.ExactCompare = Cmp.Exact;
 
-  // Full pipeline + design-space search. The oracle owns the hook slot;
-  // the injected fault (if any) rides inside it.
-  CompileOptions CO = Opt.Compile;
-  CO.Jobs = 1;
-  CO.Hook = Opt.Inject;
+  // Full pipeline + design-space search.
   DiagnosticsEngine CompDiags;
   GpuCompiler GC(M, CompDiags);
-  CompileOutput Out = GC.compile(Naive, CO);
+  CompileOutput Out = GC.compile(Naive, oracleCompileOptions(Opt));
   if (!Out.Best || CompDiags.hasErrors()) {
     OracleFailure F;
     F.FailKind = OracleFailure::Kind::CompileError;
@@ -518,9 +527,7 @@ OracleResult gpuc::runLayoutOracle(Module &M, const KernelFunction &Naive,
   Comparator Cmp{!kernelHasFloatArith(Naive)};
   Res.ExactCompare = Cmp.Exact;
 
-  CompileOptions CO = Opt.Compile;
-  CO.Jobs = 1;
-  CO.Hook = Opt.Inject;
+  const CompileOptions CO = oracleCompileOptions(Opt);
 
   // Identity probe at unit merge factors: yields the post-pipeline launch
   // and the camping scan that seed the family enumeration.
@@ -590,12 +597,10 @@ OracleResult gpuc::runPipelineOracle(
   Res.ExactCompare = Cmp.Exact;
 
   // Fusion legality + both sides of the design-space search.
-  CompileOptions CO = Opt.Compile;
-  CO.Jobs = 1;
-  CO.Hook = Opt.Inject;
   DiagnosticsEngine CompDiags;
   GpuCompiler GC(M, CompDiags);
-  ProgramCompileOutput Out = GC.compileProgram(Stages, CO);
+  ProgramCompileOutput Out =
+      GC.compileProgram(Stages, oracleCompileOptions(Opt));
   bool StageBests = true;
   for (const CompileOutput &SO : Out.StageOuts)
     StageBests &= SO.Best != nullptr;

@@ -38,9 +38,9 @@
 namespace gpuc {
 
 struct OracleOptions {
-  /// Base pipeline configuration. Hook must be empty — the oracle owns
-  /// the hook slot (use Inject for fault injection); Jobs is forced to 1
-  /// (the fuzzer parallelizes across seeds, not inside a case).
+  /// Base pipeline configuration. Jobs is forced to 1 (the fuzzer
+  /// parallelizes across seeds, not inside a case), and a set Inject
+  /// replaces HookFactory.
   CompileOptions Compile;
   /// Seed for the randomized input buffers (fillPipelineFuzzInputs over
   /// the naive kernel or chain).
@@ -62,8 +62,8 @@ struct OracleOptions {
   /// Kind::InterpDivergence failure — a bug in one of the engines, not in
   /// the kernel under test — and ends that kernel's check.
   bool CheckInterp = true;
-  /// Test-only fault injection, run inside the pipeline's stage hook
-  /// before the oracle snapshots the kernel.
+  /// Test-only fault injection: the stage hook of every compileVariant
+  /// call the oracle makes, run before the oracle snapshots the kernel.
   StageHook Inject;
 };
 

@@ -9,7 +9,7 @@ using namespace gpuc::serve;
 
 uint32_t gpuc::serve::jobDefaultFlags() {
   return JF_Vectorize | JF_Coalesce | JF_Merge | JF_Prefetch |
-         JF_PartitionElim | JF_Fold | JF_StaticPrune;
+         JF_PartitionElim | JF_Fold;
 }
 
 bool gpuc::serve::isRequestType(uint32_t T) {

@@ -107,10 +107,10 @@ enum JobFlags : uint32_t {
   JF_Merge = 1u << 2,
   JF_Prefetch = 1u << 3,
   JF_PartitionElim = 1u << 4,
-  // Bit 5 is retired: never reuse it or renumber the bits after it. Old
-  // clients may still set it; the daemon ignores bits it does not read.
+  // Bits 5 and 7 are retired: never reuse them or renumber the bits after
+  // them. Old clients may still set them; the daemon ignores bits it does
+  // not read.
   JF_Fold = 1u << 6,
-  JF_StaticPrune = 1u << 7,
   JF_Exhaustive = 1u << 8,
   JF_Sanitize = 1u << 9,
   JF_Lint = 1u << 10,

@@ -42,7 +42,6 @@ uint64_t gpuc::hashPerfOptions(const PerfOptions &Options) {
   H = hashCombine(H, static_cast<uint64_t>(Options.LoopSampleThreshold));
   H = hashCombine(H, static_cast<uint64_t>(Options.LoopSampleCount));
   H = hashCombine(H, static_cast<uint64_t>(Options.WorkPerBlockRef));
-  H = hashCombine(H, static_cast<uint64_t>(Options.MinBlocksPerCluster));
   H = hashCombine(H, Options.TrackSites ? 1 : 0);
   return H;
 }

@@ -12,6 +12,11 @@
 
 using namespace gpuc;
 
+/// Floor for the work-normalized per-cluster block count: at least two
+/// consecutive blocks are needed for the partition-camping model to see
+/// co-resident conflicts.
+static constexpr long long MinBlocksPerCluster = 2;
+
 static bool kernelHasGlobalSync(const KernelFunction &K) {
   bool Found = false;
   forEachStmt(K.body(), [&](Stmt *S) {
@@ -113,11 +118,10 @@ PerfResult Simulator::runPerformance(const KernelFunction &K,
       // exceeds the work budget; fall back to a single cluster of the
       // minimum pair rather than shrinking a cluster below what the
       // partition model needs.
-      if (Scaled < Options.MinBlocksPerCluster)
+      if (Scaled < MinBlocksPerCluster)
         Clusters = 1;
-      ClusterBudget =
-          std::clamp<long long>(Scaled, Options.MinBlocksPerCluster,
-                                Options.BlocksPerCluster);
+      ClusterBudget = std::clamp<long long>(Scaled, MinBlocksPerCluster,
+                                            Options.BlocksPerCluster);
     }
   }
   long long PerCluster = std::min<long long>(NumBlocks, ClusterBudget);

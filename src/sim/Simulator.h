@@ -45,10 +45,6 @@ struct PerfOptions {
   /// shrinks proportionally, keeping the sampled work roughly constant.
   /// 0 disables the normalization.
   int WorkPerBlockRef = 4096;
-  /// Floor for the normalized per-cluster count; at least two consecutive
-  /// blocks are needed for the partition-camping model to see co-resident
-  /// conflicts.
-  int MinBlocksPerCluster = 2;
   /// Attribute traffic to individual access expressions (reports).
   bool TrackSites = false;
 

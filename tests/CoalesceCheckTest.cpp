@@ -158,6 +158,14 @@ struct SubscriptCase {
   long long LoopStep;
 };
 
+// gtest_discover_tests names each case after its printed value; gtest's
+// fallback prints the struct's bytes, padding included, which differ from
+// build to build.
+void PrintTo(const SubscriptCase &C, std::ostream *OS) {
+  *OS << "row" << C.RowKind << "_idx" << C.ColIdxMul << "_i" << C.ColLoopMul
+      << "_c" << C.ColConst << "_step" << C.LoopStep;
+}
+
 class CoalesceProperty : public ::testing::TestWithParam<SubscriptCase> {};
 
 TEST_P(CoalesceProperty, MatchesBruteForce) {

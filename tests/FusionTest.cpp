@@ -151,6 +151,11 @@ struct NamedPipeline {
   std::string Source;
 };
 
+// gtest_discover_tests puts the printed parameter into each test's name;
+// gtest's fallback prints the struct's bytes, pointers included, which
+// differ from build to build.
+void PrintTo(const NamedPipeline &P, std::ostream *OS) { *OS << P.Name; }
+
 const NamedPipeline Corpus[] = {
     {"map_chain", MapChain},         {"chain3", Chain3},
     {"blas2", blas2(128)},           {"blas2_256", blas2(256)},

@@ -389,8 +389,11 @@ TEST(OracleTest, AnnouncedStagesFollowPipelineOrder) {
   KernelFunction *K = parseOk(M, MmSource);
   std::vector<std::string> Announced;
   CompileOptions Opt;
-  Opt.Hook = [&](const char *Stage, KernelFunction &, bool) {
-    Announced.push_back(Stage);
+  Opt.Jobs = 1;
+  Opt.HookFactory = [&](DiagnosticsEngine &) -> StageHook {
+    return [&](const char *Stage, KernelFunction &, bool) {
+      Announced.push_back(Stage);
+    };
   };
   DiagnosticsEngine Diags;
   GpuCompiler GC(M, Diags);

@@ -536,7 +536,9 @@ TEST(InterpEquivCompiled, RacyVariantsMatchUnderBothEngines) {
     ASSERT_NE(K, nullptr);
     CompileOptions CO;
     CO.Jobs = 1;
-    CO.Hook = dropSyncsAfter("coalesce");
+    CO.HookFactory = [](DiagnosticsEngine &) {
+      return dropSyncsAfter("coalesce");
+    };
     GpuCompiler GC(M, D);
     CompileOutput Out = GC.compile(*K, CO);
     ASSERT_NE(Out.Best, nullptr) << Out.Log;
