@@ -22,8 +22,9 @@ constexpr int SharedBanks = 16;
 
 class Linter {
 public:
-  Linter(KernelFunction &K, DiagnosticsEngine &Diags, const LintOptions &Opt)
-      : K(K), Diags(Diags), Opt(Opt) {}
+  Linter(KernelFunction &K, const PhaseModel &Model, DiagnosticsEngine &Diags,
+         const LintOptions &Opt)
+      : K(K), Model(Model), Diags(Diags), Opt(Opt) {}
 
   int run() {
     Globals = collectGlobalAccesses(K);
@@ -36,7 +37,6 @@ public:
       collectGuarded(K.body(), /*UnderIf=*/false);
       lintGlobalBounds();
     }
-    Model = buildPhaseModel(K);
     if (!Opt.Strict)
       lintSharedBounds();
     lintBankConflicts();
@@ -288,10 +288,10 @@ private:
   }
 
   KernelFunction &K;
+  const PhaseModel &Model;
   DiagnosticsEngine &Diags;
   const LintOptions &Opt;
   std::vector<AccessInfo> Globals;
-  PhaseModel Model;
   DataflowResult Facts;
   std::set<const Stmt *> Guarded;
   int NumWarnings = 0;
@@ -299,7 +299,7 @@ private:
 
 } // namespace
 
-int gpuc::lintKernel(KernelFunction &K, DiagnosticsEngine &Diags,
-                     const LintOptions &Opt) {
-  return Linter(K, Diags, Opt).run();
+int gpuc::lintKernel(KernelFunction &K, const PhaseModel &Model,
+                     DiagnosticsEngine &Diags, const LintOptions &Opt) {
+  return Linter(K, Model, Diags, Opt).run();
 }

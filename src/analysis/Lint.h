@@ -29,6 +29,8 @@
 
 namespace gpuc {
 
+struct PhaseModel;
+
 /// How to lint. The bounds and bank-conflict lints always run.
 struct LintOptions {
   bool Coalescing = true;
@@ -43,9 +45,10 @@ struct LintOptions {
   std::string Context;
 };
 
-/// Runs the lints over \p K, reporting warnings to \p Diags.
-/// \returns the number of warnings produced.
-int lintKernel(KernelFunction &K, DiagnosticsEngine &Diags,
+/// Runs the lints over \p K, whose buildPhaseModel is \p Model, reporting
+/// warnings to \p Diags. \returns the number of warnings produced.
+int lintKernel(KernelFunction &K, const PhaseModel &Model,
+               DiagnosticsEngine &Diags,
                const LintOptions &Opt = LintOptions());
 
 } // namespace gpuc

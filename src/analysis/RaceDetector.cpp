@@ -46,10 +46,10 @@ struct Occupant {
 
 class RaceScan {
 public:
-  explicit RaceScan(const KernelFunction &K) : K(K) {}
+  RaceScan(const KernelFunction &K, const PhaseModel &Model)
+      : K(K), Model(Model) {}
 
   RaceReport run() {
-    PhaseModel Model = buildPhaseModel(K);
     Report.Analyzable = Model.Analyzable;
     Report.Sampled = Model.Sampled;
     Report.Notes = Model.Problems;
@@ -322,6 +322,7 @@ private:
   };
 
   const KernelFunction &K;
+  const PhaseModel &Model;
   RaceReport Report;
   DataflowResult Facts;
   std::unordered_map<long long, WordState> Words;
@@ -330,6 +331,7 @@ private:
 
 } // namespace
 
-RaceReport gpuc::detectSharedRaces(const KernelFunction &K) {
-  return RaceScan(K).run();
+RaceReport gpuc::detectSharedRaces(const KernelFunction &K,
+                                   const PhaseModel &Model) {
+  return RaceScan(K, Model).run();
 }

@@ -64,10 +64,10 @@ struct RaceReport {
   bool clean() const { return Findings.empty() && Analyzable; }
 };
 
-/// Runs the detector on \p K under its current launch configuration. It
-/// enumerates at most 4096 free-loop value combinations per access and
-/// reports at most 16 findings.
-RaceReport detectSharedRaces(const KernelFunction &K);
+/// Runs the detector on \p K under its current launch configuration, over
+/// \p Model, K's buildPhaseModel. It enumerates at most 4096 free-loop
+/// value combinations per access and reports at most 16 findings.
+RaceReport detectSharedRaces(const KernelFunction &K, const PhaseModel &Model);
 
 } // namespace gpuc
 

@@ -24,9 +24,11 @@ void sanitizeKernel(KernelFunction &K, DiagnosticsEngine &Diags,
     return "[" + Context + "] " + Msg;
   };
   ++Summary.KernelsChecked;
+  // The race detector and the lints share one phase model.
+  const PhaseModel Model = buildPhaseModel(K);
 
   if (Opt.Races) {
-    const RaceReport Report = detectSharedRaces(K);
+    const RaceReport Report = detectSharedRaces(K, Model);
     for (const RaceFinding &F : Report.Findings) {
       Diags.error(F.Loc1, Prefixed(strFormat("kernel '%s': %s",
                                              K.name().c_str(),
@@ -52,7 +54,7 @@ void sanitizeKernel(KernelFunction &K, DiagnosticsEngine &Diags,
 
   if (Opt.Lint)
     Summary.LintWarnings += lintKernel(
-        K, Diags,
+        K, Model, Diags,
         {.Coalescing = Final, .Strict = Opt.LintStrict, .Context = Context});
 }
 

@@ -15,7 +15,7 @@
 #include "core/AmdVectorize.h"
 #include "core/ThreadMerge.h"
 #include "core/Vectorize.h"
-#include "exec/ThreadPool.h"
+#include "exec/Parallel.h"
 #include "sim/BlockMemo.h"
 #include "sim/SimCache.h"
 #include "support/StringUtils.h"
@@ -303,13 +303,12 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
     /// Per-block statistics shared by a build and its copies; null when
     /// BlockMemo::appliesTo rejects the body.
     std::shared_ptr<BlockMemo> Memo;
-    /// The kernel's hash (Phase A; equal hashes give equal SimCache keys
-    /// within a phase) and occupancy (Phase B), which every probe and
+    /// The kernel's hash (equal hashes give equal SimCache keys within a
+    /// phase) and occupancy, both taken in Phase A, which every probe and
     /// full run of the slot reuses.
     KernelFacts Facts;
     /// The dataflow engine proved a violation.
     bool Violation = false;
-    bool OccInfeasible = false;
     bool Probed = false;
     double LowerBoundMs = 0;
     bool Simulated = false;
@@ -351,8 +350,8 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
       Builds.push_back(I);
   }
 
-  ThreadPool Pool(Opt.Jobs <= 0 ? ThreadPool::defaultConcurrency()
-                                : static_cast<unsigned>(Opt.Jobs));
+  const unsigned Lanes = Opt.Jobs <= 0 ? defaultConcurrency()
+                                       : static_cast<unsigned>(Opt.Jobs);
 
   SimCache LocalCache;
   SimCache *Cache = Opt.Cache ? Opt.Cache : &LocalCache;
@@ -377,7 +376,7 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
   // Phase A: compile every distinct body in its own Module/ASTContext
   // arena with its own DiagnosticsEngine and give each of its remap points
   // a kernel over that body.
-  Pool.parallelFor(Builds.size(), [&](size_t B) {
+  parallelFor(Lanes, Builds.size(), [&](size_t B) {
     Candidate &C = Cands[Builds[B]];
     if (compileCancelled(Opt))
       return; // cancelled: leave the slots unbuilt, discarded below
@@ -394,7 +393,8 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
                                              &C.Violation);
     }
     if (C.Kernel)
-      C.Facts.Hash = hashKernel(*C.Kernel);
+      C.Facts = {hashKernel(*C.Kernel),
+                 computeOccupancy(Opt.Device, *C.Kernel)};
     C.CompileWallMs = CompileTimer.elapsedMs();
     if (!C.Kernel)
       return;
@@ -402,10 +402,10 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
       C.Memo = std::make_shared<BlockMemo>();
     // A copy is a KernelFunction of its own (the build's params, bindings
     // and work domain, its own launch) over the build's body, which it
-    // only relabels. The dataflow engine ignores the remap, so a copy
-    // inherits the build's verdict; its camping detection ran on the
-    // shared body, and a remap that is not bijective on the built grid
-    // leaves the copy at the identity.
+    // only relabels. The dataflow engine and computeOccupancy ignore the
+    // remap, so a copy inherits the build's verdict and occupancy; its
+    // camping detection ran on the shared body, and a remap that is not
+    // bijective on the built grid leaves the copy at the identity.
     for (size_t J : C.Copies) {
       Candidate &R = Cands[J];
       WallTimer CopyTimer;
@@ -416,7 +416,7 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
                                R.Layout.K == LayoutPoint::Kind::Diagonal;
       R.Violation = C.Violation;
       R.Memo = C.Memo;
-      R.Facts.Hash = hashKernel(*R.Kernel);
+      R.Facts = {hashKernel(*R.Kernel), C.Facts.Occ};
       R.CompileWallMs = CopyTimer.elapsedMs();
       R.BuildWallMs = C.CompileWallMs;
     }
@@ -457,7 +457,7 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
     for (size_t I = 0; I < Cands.size(); ++I)
       GroupOf[I] = Root(I);
   }
-  // Runs Body on every slot of Order: one pool task per group, groups in
+  // Runs Body on every slot of Order: one loop index per group, groups in
   // the order of their first slot in Order, members in Order's order.
   auto RunGrouped = [&](const std::vector<size_t> &Order,
                         const std::function<void(size_t)> &Body) {
@@ -471,23 +471,19 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
       }
       Tasks[T].push_back(I);
     }
-    Pool.parallelFor(Tasks.size(), [&](size_t T) {
+    parallelFor(Lanes, Tasks.size(), [&](size_t T) {
       for (size_t I : Tasks[T])
         Body(I);
     });
   };
 
-  // Phase B: occupancy, static prune and (unless the search is
-  // exhaustive) a lower bound from a cheap probe run, per slot.
+  // Phase B: static prune and (unless the search is exhaustive) a lower
+  // bound from a cheap probe run, per feasible slot.
   std::vector<size_t> AllSlots(Cands.size());
   std::iota(AllSlots.begin(), AllSlots.end(), size_t(0));
   RunGrouped(AllSlots, [&](size_t I) {
     Candidate &C = Cands[I];
-    if (!C.Kernel || compileCancelled(Opt))
-      return;
-    C.Facts.Occ = computeOccupancy(Opt.Device, *C.Kernel);
-    C.OccInfeasible = C.Facts.Occ.Infeasible;
-    if (C.OccInfeasible)
+    if (!C.Kernel || C.Facts.Occ.Infeasible || compileCancelled(Opt))
       return;
     // A Violation verdict means the variant provably faults at runtime —
     // its performance run could never succeed, so skip probe and
@@ -543,7 +539,7 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
 
   std::vector<size_t> Runnable;
   for (size_t I = 0; I < Cands.size(); ++I)
-    if (Cands[I].Kernel && !Cands[I].OccInfeasible &&
+    if (Cands[I].Kernel && !Cands[I].Facts.Occ.Infeasible &&
         !Cands[I].StaticallyPruned)
       Runnable.push_back(I);
 
@@ -597,7 +593,7 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
     VR.LowerBoundMs = C.LowerBoundMs;
     VR.CompileWallMs = C.CompileWallMs;
     VR.SimWallMs = C.SimWallMs;
-    if (C.OccInfeasible) {
+    if (C.Facts.Occ.Infeasible) {
       VR.LimitedBy = C.Facts.Occ.LimitedBy;
       VR.Perf.Occ = C.Facts.Occ;
       Out.Log += strFormat("%s: infeasible (%s)\n", Tag.c_str(),
@@ -643,7 +639,7 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
         std::max(Out.Camping.CampingAccesses, BestCamp.CampingAccesses);
   }
 
-  Out.Search.Jobs = static_cast<int>(Pool.concurrency());
+  Out.Search.Jobs = static_cast<int>(Lanes);
   Out.Search.Candidates = static_cast<int>(Cands.size());
   Out.Search.LayoutPoints = static_cast<int>(Layouts.size());
   if (Out.BestVariant.Feasible &&
@@ -654,7 +650,7 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
     Out.Search.Probed += C.Probed ? 1 : 0;
     Out.Search.Pruned += C.Pruned ? 1 : 0;
     Out.Search.StaticallyPruned += C.StaticallyPruned ? 1 : 0;
-    Out.Search.Infeasible += C.OccInfeasible ? 1 : 0;
+    Out.Search.Infeasible += C.Facts.Occ.Infeasible ? 1 : 0;
     Out.Search.CompileMs += C.CompileWallMs;
     Out.Search.SimMs += C.SimWallMs;
     Out.Search.CritPathMs =

@@ -2,7 +2,7 @@
 
 #include "fuzz/Fuzzer.h"
 
-#include "exec/ThreadPool.h"
+#include "exec/Parallel.h"
 #include "fuzz/KernelGen.h"
 #include "parser/Parser.h"
 #include "support/StringUtils.h"
@@ -160,8 +160,9 @@ FuzzSummary gpuc::runFuzz(const FuzzOptions &Opt, std::ostream *Progress) {
   std::set<uint64_t> Seen;
   std::mutex Mu;
 
-  ThreadPool Pool(Opt.Jobs <= 0 ? 0 : static_cast<unsigned>(Opt.Jobs));
-  Pool.parallelFor(N, [&](size_t I) {
+  const unsigned Lanes =
+      Opt.Jobs <= 0 ? defaultConcurrency() : static_cast<unsigned>(Opt.Jobs);
+  parallelFor(Lanes, N, [&](size_t I) {
     FuzzCase &C = Cases[I];
     C.Seed = Opt.FirstSeed + static_cast<unsigned>(I);
 

@@ -15,9 +15,9 @@
 /// (kind + blamed stage), and written out as a replayable .cu repro plus a
 /// machine-readable .json failure record.
 ///
-/// Seeds run concurrently on exec/ThreadPool; results are keyed by seed
-/// index and reduced after the join, so a run's summary is identical for
-/// any --jobs value.
+/// Seeds run concurrently under exec/Parallel's parallelFor; results are
+/// keyed by seed index and reduced after the join, so a run's summary is
+/// identical for any --jobs value.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -247,7 +247,7 @@ std::string engineDivergence(const Simulator &Sim, const Chain &Inputs,
 StaticClass classifyStatic(const KernelFunction &K) {
   StaticClass C;
   DataflowResult DF = runDataflow(K);
-  RaceReport RR = detectSharedRaces(K);
+  RaceReport RR = detectSharedRaces(K, buildPhaseModel(K));
   int Proven = 0, Possible = 0, Violations = 0;
   for (const AccessFact &A : DF.Accesses) {
     if (A.Bounds == Verdict::Proven)

@@ -2,7 +2,7 @@
 
 #include "serve/Server.h"
 
-#include "exec/ThreadPool.h"
+#include "exec/Parallel.h"
 #include "support/StringUtils.h"
 #include "support/Timer.h"
 
@@ -78,7 +78,7 @@ bool Server::start(std::string &Err) {
   if (!Listen.valid())
     return false;
 
-  NumWorkers = Opts.Workers ? Opts.Workers : ThreadPool::defaultConcurrency();
+  NumWorkers = Opts.Workers ? Opts.Workers : defaultConcurrency();
   Stopping.store(false);
   Running.store(true);
   Acceptor = std::thread(&Server::acceptLoop, this);

@@ -23,8 +23,9 @@
 ///     connection thread and never queue at all.
 ///   - Per-request isolation: every job runs serve/Service.h with its
 ///     own Module and DiagnosticsEngine; only the caches are shared
-///     (SimCache is lock-striped; the DiskCache is opened exactly once
-///     per daemon lifetime — test-pinned via DiskCache::openCount()).
+///     (the SimCache under its one mutex; the DiskCache is opened
+///     exactly once per daemon lifetime — test-pinned via
+///     DiskCache::openCount()).
 ///   - Per-request timeouts: the connection thread arms the job's
 ///     cancel flag at the deadline; the search notices at the next
 ///     per-candidate check, withdraws its partial result, and the

@@ -38,7 +38,7 @@ class SimCache;
 namespace serve {
 
 /// Shared state a request executes against. The caches are the warm
-/// tiers every request shares (SimCache is lock-striped; DiskCache is
+/// tiers every request shares (SimCache is thread-safe; DiskCache is
 /// opened once per daemon); Cancel is the per-request timeout hook.
 struct ServiceContext {
   SimCache *Mem = nullptr;

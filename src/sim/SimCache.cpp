@@ -58,11 +58,10 @@ uint64_t gpuc::simCacheKey(uint64_t KernelHash, const DeviceSpec &Dev,
 }
 
 bool SimCache::lookup(uint64_t Key, PerfResult &Out) {
-  Stripe &S = stripeFor(Key);
   {
-    std::lock_guard<std::mutex> L(S.Mu);
-    auto It = S.Entries.find(Key);
-    if (It != S.Entries.end()) {
+    std::lock_guard<std::mutex> L(Mu);
+    auto It = Entries.find(Key);
+    if (It != Entries.end()) {
       Out = It->second;
       Hits.fetch_add(1);
       return true;
@@ -75,8 +74,8 @@ bool SimCache::lookup(uint64_t Key, PerfResult &Out) {
       DiskHits.fetch_add(1);
       // Promote into memory without writing back to the tier the result
       // just came from.
-      std::lock_guard<std::mutex> L(S.Mu);
-      S.Entries.emplace(Key, Out);
+      std::lock_guard<std::mutex> L(Mu);
+      Entries.emplace(Key, Out);
       return true;
     }
   }
@@ -85,28 +84,23 @@ bool SimCache::lookup(uint64_t Key, PerfResult &Out) {
 }
 
 void SimCache::insert(uint64_t Key, const PerfResult &Result) {
-  Stripe &S = stripeFor(Key);
   {
-    std::lock_guard<std::mutex> L(S.Mu);
-    S.Entries.emplace(Key, Result);
+    std::lock_guard<std::mutex> L(Mu);
+    Entries.emplace(Key, Result);
   }
   if (SimCacheBackend *B = Backend.load())
     B->store(Key, Result);
 }
 
 size_t SimCache::size() const {
-  size_t N = 0;
-  for (const Stripe &S : Stripes) {
-    std::lock_guard<std::mutex> L(S.Mu);
-    N += S.Entries.size();
-  }
-  return N;
+  std::lock_guard<std::mutex> L(Mu);
+  return Entries.size();
 }
 
 void SimCache::clear() {
-  for (Stripe &S : Stripes) {
-    std::lock_guard<std::mutex> L(S.Mu);
-    S.Entries.clear();
+  {
+    std::lock_guard<std::mutex> L(Mu);
+    Entries.clear();
   }
   Hits.store(0);
   Misses.store(0);

@@ -73,14 +73,9 @@ public:
 };
 
 /// Thread-safe memo table for performance runs, with hit/miss counters
-/// and an optional persistent second tier.
-///
-/// The in-memory tier is lock-striped: entries spread over a fixed set of
-/// independently locked shards keyed by the entry hash, so concurrent
-/// lookups of different keys (the compile daemon serving many clients
-/// from one warm cache, or a wide parallel search) do not serialize on a
-/// single mutex. Hot-key lookups of the *same* shard still contend only
-/// for the duration of a map find + copy.
+/// and an optional persistent second tier. One mutex guards the in-memory
+/// map for the duration of a find, copy or emplace; backend I/O runs
+/// outside it.
 class SimCache {
 public:
   /// \returns true and fills \p Out when \p Key is present in memory or
@@ -108,21 +103,9 @@ public:
   /// are untouched (a persistent cache outlives any one process).
   void clear();
 
-  /// Number of independently locked shards (power of two).
-  static constexpr size_t NumStripes = 64;
-
 private:
-  struct Stripe {
-    mutable std::mutex Mu;
-    std::unordered_map<uint64_t, PerfResult> Entries;
-  };
-  Stripe &stripeFor(uint64_t Key) {
-    // The key is already a well-mixed hash; fold the high bits in so
-    // shard choice is not at the mercy of any one byte.
-    return Stripes[(Key ^ (Key >> 32)) & (NumStripes - 1)];
-  }
-
-  Stripe Stripes[NumStripes];
+  mutable std::mutex Mu;
+  std::unordered_map<uint64_t, PerfResult> Entries;
   std::atomic<SimCacheBackend *> Backend{nullptr};
   std::atomic<uint64_t> Hits{0};
   std::atomic<uint64_t> Misses{0};

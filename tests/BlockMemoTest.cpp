@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <tuple>
@@ -476,8 +478,9 @@ TEST(BlockMemoReuse, CopiesOfAMemolessBodyRunInTheirBuildsTask) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// The same on every Table-1 kernel and the BLAS-2 pipeline. Not part of
-// the BlockMemoReuse suite, which also runs under ThreadSanitizer.
+// The same on every Table-1 kernel and every example kernel, the BLAS-2
+// pipeline included. Not part of the BlockMemoReuse suite, which also runs
+// under ThreadSanitizer.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -492,53 +495,51 @@ std::string readFile(const std::string &Path) {
 /// BlocksSimulated, BlocksReused, CacheHits and CacheMisses of one search
 /// of \p Source: a single kernel, or a multi-kernel pipeline's program.
 std::vector<uint64_t> searchCounters(const std::string &Source,
-                                     bool Pipeline,
                                      const CompileOptions &Opt) {
   Module M;
   DiagnosticsEngine D;
   Parser P(Source, D);
+  const std::vector<KernelFunction *> Stages = P.parseProgram(M);
+  EXPECT_FALSE(Stages.empty()) << D.str();
+  if (Stages.empty())
+    return {};
   GpuCompiler GC(M, D);
-  SearchStats S;
-  if (Pipeline) {
-    std::vector<KernelFunction *> Stages = P.parseProgram(M);
-    EXPECT_GE(Stages.size(), 2u) << D.str();
-    const std::vector<const KernelFunction *> CStages(Stages.begin(),
-                                                      Stages.end());
-    S = GC.compileProgram(CStages, Opt).Search;
-  } else {
-    KernelFunction *Naive = P.parseKernel(M);
-    EXPECT_NE(Naive, nullptr) << D.str();
-    if (!Naive)
-      return {};
-    S = GC.compile(*Naive, Opt).Search;
-  }
+  const SearchStats S =
+      Stages.size() == 1
+          ? GC.compile(*Stages.front(), Opt).Search
+          : GC.compileProgram({Stages.begin(), Stages.end()}, Opt).Search;
   EXPECT_FALSE(D.hasErrors()) << D.str();
   return {S.BlocksSimulated, S.BlocksReused, S.CacheHits, S.CacheMisses};
 }
 
 TEST(LaneCountCounters, Table1AndPipelineSearchesRepeatAtFourLanes) {
-  // Small sizes keep the 88 searches to a few seconds; mm and strsm,
-  // the costliest per element, run smaller still.
+  // Small sizes keep the Table-1 searches to a few seconds; mm and strsm,
+  // the costliest per element, run smaller still. The example kernels run
+  // at the sizes their files declare.
   std::vector<std::pair<std::string, std::string>> Programs;
   for (Algo A : table1Algos())
     Programs.emplace_back(
         algoInfo(A).Name,
         naiveSource(A, A == Algo::STRSM ? 64 : A == Algo::MM ? 128 : 256));
-  Programs.emplace_back(
-      "blas2_pipeline",
-      readFile(GPUC_SOURCE_DIR "/examples/kernels/blas2_pipeline.cu"));
+  std::vector<std::filesystem::path> Examples;
+  for (const auto &E : std::filesystem::directory_iterator(
+           GPUC_SOURCE_DIR "/examples/kernels"))
+    if (E.path().extension() == ".cu")
+      Examples.push_back(E.path());
+  std::sort(Examples.begin(), Examples.end());
+  ASSERT_FALSE(Examples.empty());
+  for (const std::filesystem::path &File : Examples)
+    Programs.emplace_back(File.filename().string(), readFile(File.string()));
   for (const DeviceSpec &Dev : {DeviceSpec::gtx280(), DeviceSpec::gtx8800()})
     for (bool Exhaustive : {false, true})
       for (const auto &[Name, Source] : Programs) {
         CompileOptions Opt;
         Opt.Device = Dev;
         Opt.ExhaustiveSearch = Exhaustive;
-        const bool Pipeline = Name == "blas2_pipeline";
         Opt.Jobs = 1;
-        const std::vector<uint64_t> Serial =
-            searchCounters(Source, Pipeline, Opt);
+        const std::vector<uint64_t> Serial = searchCounters(Source, Opt);
         Opt.Jobs = 4;
-        EXPECT_EQ(searchCounters(Source, Pipeline, Opt), Serial)
+        EXPECT_EQ(searchCounters(Source, Opt), Serial)
             << Name << " on " << Dev.Name
             << (Exhaustive ? " (exhaustive)" : " (pruned)");
       }

@@ -1,7 +1,7 @@
-//===-- tests/ExecTest.cpp - thread pool and parallel search --------------===//
+//===-- tests/ExecTest.cpp - parallel loop and parallel search ------------===//
 //
-// The exec thread pool must run every task exactly once, surface
-// exceptions deterministically and support nested parallel-for. On top of
+// The exec parallel loop must run every index exactly once, surface
+// exceptions deterministically and run nested loops inline. On top of
 // it, the design-space search must be invariant to the lane count: Jobs=1
 // and Jobs=8 select the same best variant, produce identically ordered
 // variant lists and emit identical CUDA for every Table 1 kernel. Pruning
@@ -18,7 +18,7 @@
 #include "baselines/NaiveKernels.h"
 #include "cache/DiskCache.h"
 #include "core/Compiler.h"
-#include "exec/ThreadPool.h"
+#include "exec/Parallel.h"
 #include "parser/Parser.h"
 #include "sim/SimCache.h"
 
@@ -26,8 +26,11 @@
 
 #include <atomic>
 #include <filesystem>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <tuple>
 
 using namespace gpuc;
@@ -51,34 +54,41 @@ long long testSize(Algo A) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// ThreadPool
+// parallelFor
 //===----------------------------------------------------------------------===//
 
-TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
-  ThreadPool Pool(8);
-  EXPECT_EQ(Pool.concurrency(), 8u);
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
   constexpr size_t N = 2000;
   std::vector<std::atomic<int>> Seen(N);
-  Pool.parallelFor(N, [&](size_t I) { Seen[I].fetch_add(1); });
+  std::mutex Mu;
+  std::set<std::thread::id> Threads;
+  parallelFor(8, N, [&](size_t I) {
+    Seen[I].fetch_add(1);
+    std::lock_guard<std::mutex> L(Mu);
+    Threads.insert(std::this_thread::get_id());
+  });
   for (size_t I = 0; I < N; ++I)
     EXPECT_EQ(Seen[I].load(), 1) << "index " << I;
+  EXPECT_LE(Threads.size(), 8u);
 }
 
-TEST(ThreadPool, SerialPoolRunsInlineInOrder) {
-  ThreadPool Pool(1);
+TEST(ParallelFor, OneLaneRunsInlineInOrder) {
+  const std::thread::id Caller = std::this_thread::get_id();
   std::vector<size_t> Order;
-  Pool.parallelFor(10, [&](size_t I) { Order.push_back(I); });
+  parallelFor(1, 10, [&](size_t I) {
+    EXPECT_EQ(std::this_thread::get_id(), Caller);
+    Order.push_back(I);
+  });
   std::vector<size_t> Want(10);
   std::iota(Want.begin(), Want.end(), 0);
   EXPECT_EQ(Order, Want);
 }
 
-TEST(ThreadPool, LowestThrowingIndexWins) {
+TEST(ParallelFor, LowestThrowingIndexWins) {
   for (unsigned Lanes : {1u, 4u}) {
-    ThreadPool Pool(Lanes);
     std::string Caught;
     try {
-      Pool.parallelFor(64, [](size_t I) {
+      parallelFor(Lanes, 64, [](size_t I) {
         if (I >= 17)
           throw std::runtime_error("idx" + std::to_string(I));
       });
@@ -89,33 +99,37 @@ TEST(ThreadPool, LowestThrowingIndexWins) {
   }
 }
 
-TEST(ThreadPool, ExceptionStillRunsRemainingTasks) {
-  ThreadPool Pool(4);
+TEST(ParallelFor, ExceptionStillRunsRemainingTasks) {
   std::atomic<int> Count{0};
-  EXPECT_THROW(Pool.parallelFor(100,
-                                [&](size_t I) {
-                                  Count.fetch_add(1);
-                                  if (I == 3)
-                                    throw std::runtime_error("boom");
-                                }),
+  EXPECT_THROW(parallelFor(4, 100,
+                           [&](size_t I) {
+                             Count.fetch_add(1);
+                             if (I == 3)
+                               throw std::runtime_error("boom");
+                           }),
                std::runtime_error);
   EXPECT_EQ(Count.load(), 100);
 }
 
-TEST(ThreadPool, NestedParallelForCompletes) {
-  ThreadPool Pool(4);
+TEST(ParallelFor, NestedParallelForCompletes) {
   std::atomic<int> Count{0};
-  Pool.parallelFor(8, [&](size_t) {
-    Pool.parallelFor(25, [&](size_t) { Count.fetch_add(1); });
+  std::atomic<int> Moved{0};
+  parallelFor(4, 8, [&](size_t) {
+    const std::thread::id Outer = std::this_thread::get_id();
+    parallelFor(4, 25, [&](size_t) {
+      Count.fetch_add(1);
+      if (std::this_thread::get_id() != Outer)
+        Moved.fetch_add(1);
+    });
   });
   EXPECT_EQ(Count.load(), 8 * 25);
+  EXPECT_EQ(Moved.load(), 0) << "nested bodies left their outer body's thread";
 }
 
-TEST(ThreadPool, ManySmallLoops) {
-  ThreadPool Pool(8);
+TEST(ParallelFor, ManySmallLoops) {
   std::atomic<long long> Sum{0};
   for (int Round = 0; Round < 50; ++Round)
-    Pool.parallelFor(17, [&](size_t I) {
+    parallelFor(8, 17, [&](size_t I) {
       Sum.fetch_add(static_cast<long long>(I));
     });
   EXPECT_EQ(Sum.load(), 50 * (16 * 17 / 2));
@@ -490,9 +504,8 @@ TEST(DiskCacheConcurrency, HammeredSharedDirectoryStaysConsistent) {
     return R;
   };
 
-  ThreadPool Pool(8);
   std::atomic<int> BadLoads{0};
-  Pool.parallelFor(256, [&](size_t I) {
+  parallelFor(8, 256, [&](size_t I) {
     uint64_t Key = I % Keys;
     DiskCache &C = (I / Keys) % 2 ? A : B;
     if (I % 3 == 0)

@@ -135,7 +135,7 @@ TEST_P(SanitizerAlgo, NaiveKernelIsRaceFree) {
   ASSERT_NE(K, nullptr) << D.str();
   setNaiveLaunch(*K);
 
-  RaceReport R = detectSharedRaces(*K);
+  RaceReport R = detectSharedRaces(*K, buildPhaseModel(*K));
   EXPECT_TRUE(R.clean()) << (R.Findings.empty() ? "unanalyzable"
                                                 : R.Findings[0].str());
 
@@ -157,7 +157,7 @@ TEST_P(SanitizerAlgo, OptimizedKernelIsRaceFree) {
 
   // Static verdict: the barrier placement of every staging rewrite the
   // compiler performed is race-free.
-  RaceReport R = detectSharedRaces(*Out.Best);
+  RaceReport R = detectSharedRaces(*Out.Best, buildPhaseModel(*Out.Best));
   EXPECT_TRUE(R.Analyzable) << printKernel(*Out.Best);
   EXPECT_TRUE(R.Findings.empty())
       << R.Findings[0].str() << "\n"
@@ -196,7 +196,7 @@ void expectMutantFlagged(Algo A, int SyncIndex) {
       << printKernel(*Out.Best);
   ASSERT_TRUE(removeSync(Out.Best->body(), SyncIndex));
 
-  RaceReport R = detectSharedRaces(*Out.Best);
+  RaceReport R = detectSharedRaces(*Out.Best, buildPhaseModel(*Out.Best));
   ASSERT_TRUE(R.Analyzable);
   ASSERT_FALSE(R.Findings.empty())
       << "static detector missed the seeded race:\n"
@@ -256,7 +256,7 @@ TEST(SanitizerMutants, MissingBarrierWriteReadRace) {
   ASSERT_NE(K, nullptr);
   setNaiveLaunch(*K);
 
-  RaceReport R = detectSharedRaces(*K);
+  RaceReport R = detectSharedRaces(*K, buildPhaseModel(*K));
   ASSERT_TRUE(R.Analyzable);
   ASSERT_FALSE(R.Findings.empty());
   const RaceFinding &F = R.Findings.front();
@@ -281,7 +281,7 @@ TEST(SanitizerMutants, MissingBarrierWriteReadRace) {
   KernelFunction *K2 = parseSource(M2, Fixed, D2);
   ASSERT_NE(K2, nullptr);
   setNaiveLaunch(*K2);
-  RaceReport R2 = detectSharedRaces(*K2);
+  RaceReport R2 = detectSharedRaces(*K2, buildPhaseModel(*K2));
   EXPECT_TRUE(R2.clean());
 }
 
@@ -309,7 +309,7 @@ TEST(SanitizerStatic, RedundantHaloCopyIsBenign) {
   L.BlockDimY = 1;
   L.GridDimX = 1;
   L.GridDimY = 16;
-  RaceReport R = detectSharedRaces(*K);
+  RaceReport R = detectSharedRaces(*K, buildPhaseModel(*K));
   EXPECT_TRUE(R.clean()) << (R.Findings.empty() ? "unanalyzable"
                                                 : R.Findings[0].str());
 
@@ -330,7 +330,7 @@ TEST(SanitizerStatic, RedundantHaloCopyIsBenign) {
   KernelFunction *K2 = parseSource(M2, Racy, D2);
   ASSERT_NE(K2, nullptr);
   K2->launch() = L;
-  RaceReport R2 = detectSharedRaces(*K2);
+  RaceReport R2 = detectSharedRaces(*K2, buildPhaseModel(*K2));
   ASSERT_FALSE(R2.Findings.empty());
   EXPECT_TRUE(R2.Findings.front().WriteWrite);
 }
@@ -352,7 +352,7 @@ TEST(Lint, FlagsSharedOutOfBounds) {
   KernelFunction *K = parseSource(M, Src, D);
   ASSERT_NE(K, nullptr);
   setNaiveLaunch(*K);
-  EXPECT_GT(lintKernel(*K, D), 0);
+  EXPECT_GT(lintKernel(*K, buildPhaseModel(*K), D), 0);
   EXPECT_NE(D.str().find("out of bounds"), std::string::npos) << D.str();
 }
 
@@ -369,7 +369,7 @@ TEST(Lint, FlagsBankConflicts) {
   KernelFunction *K = parseSource(M, Src, D);
   ASSERT_NE(K, nullptr);
   setNaiveLaunch(*K);
-  EXPECT_GT(lintKernel(*K, D), 0);
+  EXPECT_GT(lintKernel(*K, buildPhaseModel(*K), D), 0);
   EXPECT_NE(D.str().find("bank"), std::string::npos) << D.str();
 }
 
@@ -388,7 +388,7 @@ TEST(Lint, CleanKernelHasNoWarnings) {
   setNaiveLaunch(*K);
   LintOptions LO;
   LO.Coalescing = false; // a toy kernel need not be coalesced
-  EXPECT_EQ(lintKernel(*K, D, LO), 0) << D.str();
+  EXPECT_EQ(lintKernel(*K, buildPhaseModel(*K), D, LO), 0) << D.str();
 }
 
 namespace {
@@ -406,7 +406,7 @@ std::string strictLint(const char *Src, bool Coalescing, int &Warnings) {
   LintOptions LO;
   LO.Strict = true;
   LO.Coalescing = Coalescing;
-  Warnings = lintKernel(*K, D, LO);
+  Warnings = lintKernel(*K, buildPhaseModel(*K), D, LO);
   return D.str();
 }
 

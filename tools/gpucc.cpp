@@ -29,7 +29,7 @@
 
 #include "baselines/CpuReference.h"
 #include "cache/DiskCache.h"
-#include "exec/ThreadPool.h"
+#include "exec/Parallel.h"
 #include "fuzz/Oracle.h"
 #include "serve/Client.h"
 #include "serve/Service.h"
@@ -515,9 +515,8 @@ int main(int argc, char **argv) {
   LocalTiers Local;
   if (D.Daemon == DriverOptions::DaemonUse::Off)
     Local.ensure(D);
-  const int Lanes = D.Jobs <= 0
-                        ? static_cast<int>(ThreadPool::defaultConcurrency())
-                        : D.Jobs;
+  const int Lanes =
+      D.Jobs <= 0 ? static_cast<int>(defaultConcurrency()) : D.Jobs;
 
   if (!D.Batch) {
     serve::CompileResult R = runInput(D, D.Inputs.front(), Local, Lanes);
@@ -532,8 +531,7 @@ int main(int argc, char **argv) {
   // output and diagnostics print strictly in input order, so the streams
   // are byte-identical for any lane count and any cache temperature.
   std::vector<serve::CompileResult> Results(D.Inputs.size());
-  ThreadPool Pool(static_cast<unsigned>(Lanes));
-  Pool.parallelFor(D.Inputs.size(), [&](size_t I) {
+  parallelFor(static_cast<unsigned>(Lanes), D.Inputs.size(), [&](size_t I) {
     Results[I] = runInput(D, D.Inputs[I], Local, /*Lanes=*/1);
   });
   int Code = 0;
