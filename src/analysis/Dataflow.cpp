@@ -23,6 +23,58 @@ const char *gpuc::verdictName(Verdict V) {
   return "?";
 }
 
+bool gpuc::satisfiesCmp(long long V, BinOp Cmp) {
+  switch (Cmp) {
+  case BinOp::LT:
+    return V < 0;
+  case BinOp::LE:
+    return V <= 0;
+  case BinOp::GT:
+    return V > 0;
+  case BinOp::GE:
+    return V >= 0;
+  case BinOp::EQ:
+    return V == 0;
+  case BinOp::NE:
+    return V != 0;
+  default:
+    return false;
+  }
+}
+
+bool gpuc::isCmpOp(BinOp Op) {
+  switch (Op) {
+  case BinOp::LT:
+  case BinOp::LE:
+  case BinOp::GT:
+  case BinOp::GE:
+  case BinOp::EQ:
+  case BinOp::NE:
+    return true;
+  default:
+    return false;
+  }
+}
+
+BinOp gpuc::negateCmp(BinOp Op) {
+  switch (Op) {
+  case BinOp::LT:
+    return BinOp::GE;
+  case BinOp::LE:
+    return BinOp::GT;
+  case BinOp::GT:
+    return BinOp::LE;
+  case BinOp::GE:
+    return BinOp::LT;
+  case BinOp::EQ:
+    return BinOp::NE;
+  case BinOp::NE:
+    return BinOp::EQ;
+  default:
+    return Op;
+  }
+}
+
 namespace {
 
 void normalizeAffine(AffineExpr &A) {
@@ -42,60 +94,6 @@ long long floorDiv(long long N, long long D) {
 }
 
 long long ceilDiv(long long N, long long D) { return -floorDiv(-N, D); }
-
-/// Does \p V satisfy `V Cmp 0`?
-bool satisfiesCmp(long long V, BinOp Cmp) {
-  switch (Cmp) {
-  case BinOp::LT:
-    return V < 0;
-  case BinOp::LE:
-    return V <= 0;
-  case BinOp::GT:
-    return V > 0;
-  case BinOp::GE:
-    return V >= 0;
-  case BinOp::EQ:
-    return V == 0;
-  case BinOp::NE:
-    return V != 0;
-  default:
-    return false;
-  }
-}
-
-bool isCmpOp(BinOp Op) {
-  switch (Op) {
-  case BinOp::LT:
-  case BinOp::LE:
-  case BinOp::GT:
-  case BinOp::GE:
-  case BinOp::EQ:
-  case BinOp::NE:
-    return true;
-  default:
-    return false;
-  }
-}
-
-/// `!(x Cmp y)` as a comparison.
-BinOp negateCmp(BinOp Op) {
-  switch (Op) {
-  case BinOp::LT:
-    return BinOp::GE;
-  case BinOp::LE:
-    return BinOp::GT;
-  case BinOp::GT:
-    return BinOp::LE;
-  case BinOp::GE:
-    return BinOp::LT;
-  case BinOp::EQ:
-    return BinOp::NE;
-  case BinOp::NE:
-    return BinOp::EQ;
-  default:
-    return Op;
-  }
-}
 
 /// `x Cmp y` rewritten as `y Cmp' x`.
 BinOp swapCmp(BinOp Op) {

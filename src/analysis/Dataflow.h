@@ -49,6 +49,13 @@ enum class Verdict { Proven, Possible, Violation };
 /// "proven" / "possible" / "violation".
 const char *verdictName(Verdict V);
 
+/// Is \p Op one of the six comparisons (< <= > >= == !=)?
+bool isCmpOp(BinOp Op);
+/// `!(x Cmp y)` as a comparison.
+BinOp negateCmp(BinOp Op);
+/// Does \p V satisfy `V Cmp 0`? False for a non-comparison \p Cmp.
+bool satisfiesCmp(long long V, BinOp Cmp);
+
 /// Abstract value of one scalar variable.
 struct VarFact {
   /// Canonical affine form over builtins and in-scope loop iterators

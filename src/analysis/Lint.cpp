@@ -10,6 +10,7 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <cassert>
 #include <map>
 #include <set>
 
@@ -20,25 +21,36 @@ namespace {
 /// Shared-memory banks on the paper's hardware.
 constexpr int SharedBanks = 16;
 
+/// Loop-iterator intervals by name, and their rangeOfAffine view.
+using IterRanges = std::map<std::string, Interval>;
+
+RangeEnv rangeEnv(const IterRanges &Iters) {
+  return {&Iters, [](const void *Ctx, const std::string &Name) {
+            const auto &M = *static_cast<const IterRanges *>(Ctx);
+            const auto It = M.find(Name);
+            return It == M.end() ? nullptr : &It->second;
+          }};
+}
+
 class Linter {
 public:
-  Linter(KernelFunction &K, const PhaseModel &Model, DiagnosticsEngine &Diags,
+  Linter(KernelFunction &K, const PhaseModel &Model,
+         const DataflowResult *Facts, DiagnosticsEngine &Diags,
          const LintOptions &Opt)
-      : K(K), Model(Model), Diags(Diags), Opt(Opt) {}
+      : K(K), Model(Model), Facts(Facts), Diags(Diags), Opt(Opt) {}
 
   int run() {
     Globals = collectGlobalAccesses(K);
     if (Opt.Strict) {
       // Verdict mode: the dataflow engine subsumes both bounds lints and
       // sees through guards instead of skipping them.
-      Facts = runDataflow(K);
+      assert(Facts && "strict lints read the kernel's dataflow facts");
       lintStrictBounds();
     } else {
       collectGuarded(K.body(), /*UnderIf=*/false);
       lintGlobalBounds();
-    }
-    if (!Opt.Strict)
       lintSharedBounds();
+    }
     lintBankConflicts();
     if (Opt.Coalescing)
       lintCoalescing();
@@ -84,58 +96,40 @@ private:
     }
   }
 
-  /// Extends [Lo, Hi] by Coeff * [MinV, MaxV].
-  static void addTermRange(long long Coeff, long long MinV, long long MaxV,
-                           long long &Lo, long long &Hi) {
-    if (Coeff >= 0) {
-      Lo += Coeff * MinV;
-      Hi += Coeff * MaxV;
-    } else {
-      Lo += Coeff * MaxV;
-      Hi += Coeff * MinV;
-    }
-  }
-
   void lintGlobalBounds() {
-    const LaunchConfig &L = K.launch();
     std::set<const ArrayRef *> Reported;
     for (const AccessInfo &A : Globals) {
       if (!A.Resolved || !A.Param || !Reported.insert(A.Ref).second)
         continue;
       if (A.Owner && Guarded.count(A.Owner))
         continue;
-      long long Lo = A.Addr.Const, Hi = A.Addr.Const;
-      addTermRange(A.Addr.CTidx, 0, L.BlockDimX - 1, Lo, Hi);
-      addTermRange(A.Addr.CTidy, 0, L.BlockDimY - 1, Lo, Hi);
-      addTermRange(A.Addr.CBidx, 0, L.GridDimX - 1, Lo, Hi);
-      addTermRange(A.Addr.CBidy, 0, L.GridDimY - 1, Lo, Hi);
-      bool Known = true;
-      for (const auto &[Name, C] : A.Addr.LoopCoeffs) {
-        if (C == 0)
-          continue;
-        const LoopInfo *LI = A.loopNamed(Name);
-        if (!LI || !LI->Resolved || LI->trip() <= 0) {
-          Known = false;
-          break;
-        }
-        long long Last = LI->Init + (LI->trip() - 1) * LI->Step;
-        addTermRange(C, LI->Init, Last, Lo, Hi);
+      // An iterator ranges over its outermost loop of that name (the one
+      // loopNamed finds), when that loop runs at least once.
+      IterRanges Iters;
+      for (const LoopInfo &LI : A.Loops) {
+        const long long Trip = LI.Resolved ? LI.trip() : 0;
+        Iters.emplace(LI.Loop->iterName(),
+                      Trip > 0 ? Interval::make(LI.Init,
+                                                LI.Init + (Trip - 1) * LI.Step)
+                               : Interval::top());
       }
-      if (!Known)
+      const Interval Bytes =
+          rangeOfAffine(A.Addr, K.launch(), rangeEnv(Iters));
+      if (!Bytes.Known)
         continue;
-      long long Size = A.Param->sizeInBytes();
-      if (Lo < 0 || Hi + A.ElemBytes > Size)
+      const long long Size = A.Param->sizeInBytes();
+      if (Bytes.Lo < 0 || Bytes.Hi + A.ElemBytes > Size)
         warn(A.Ref->loc(),
              strFormat("%s of '%s' may be out of bounds: byte address range "
                        "[%lld, %lld] exceeds the declared %lld bytes",
                        A.IsStore ? "store" : "load", printExpr(A.Ref).c_str(),
-                       Lo, Hi + A.ElemBytes - 1, Size));
+                       Bytes.Lo, Bytes.Hi + A.ElemBytes - 1, Size));
     }
   }
 
   void lintStrictBounds() {
     std::set<const ArrayRef *> Reported;
-    for (const AccessFact &A : Facts.Accesses) {
+    for (const AccessFact &A : Facts->Accesses) {
       if (A.Bounds == Verdict::Proven || !Reported.insert(A.Ref).second)
         continue;
       const char *Kind = A.IsStore ? "store" : "load";
@@ -157,7 +151,6 @@ private:
   }
 
   void lintSharedBounds() {
-    const LaunchConfig &L = K.launch();
     std::set<const ArrayRef *> Reported;
     for (const SharedAccess &A : Model.Accesses) {
       if (!A.Resolved || !A.Decl || !Reported.insert(A.Ref).second)
@@ -166,35 +159,23 @@ private:
       // thread the guard masks off.
       if (!A.Guards.empty() || A.UnknownGuard)
         continue;
-      long long Lo = A.FlatFloat.Const, Hi = A.FlatFloat.Const;
-      addTermRange(A.FlatFloat.CTidx, 0, L.BlockDimX - 1, Lo, Hi);
-      addTermRange(A.FlatFloat.CTidy, 0, L.BlockDimY - 1, Lo, Hi);
-      addTermRange(A.FlatFloat.CBidx, 0, L.GridDimX - 1, Lo, Hi);
-      addTermRange(A.FlatFloat.CBidy, 0, L.GridDimY - 1, Lo, Hi);
-      bool Known = true;
-      for (const auto &[Name, C] : A.FlatFloat.LoopCoeffs) {
-        if (C == 0)
-          continue;
-        const EnumLoop *EL = nullptr;
-        for (const EnumLoop &Cand : A.Loops)
-          if (Cand.Name == Name)
-            EL = &Cand;
-        if (!EL || !EL->Resolved) {
-          Known = false;
-          break;
-        }
-        addTermRange(C, EL->Min, EL->Max, Lo, Hi);
-      }
-      if (!Known)
+      // An iterator ranges over its innermost loop of that name.
+      IterRanges Iters;
+      for (const EnumLoop &EL : A.Loops)
+        Iters[EL.Name] =
+            EL.Resolved ? Interval::make(EL.Min, EL.Max) : Interval::top();
+      const Interval W =
+          rangeOfAffine(A.FlatFloat, K.launch(), rangeEnv(Iters));
+      if (!W.Known)
         continue;
-      long long Words =
+      const long long Words =
           A.Decl->sharedElemCount() * A.Decl->declType().sizeInBytes() / 4;
-      if (Lo < 0 || Hi + A.Lanes > Words)
+      if (W.Lo < 0 || W.Hi + A.Lanes > Words)
         warn(A.Ref->loc(),
              strFormat("%s of __shared__ '%s' may be out of bounds: word "
                        "range [%lld, %lld] exceeds the declared %lld words",
                        A.IsWrite ? "store" : "load",
-                       printExpr(A.Ref).c_str(), Lo, Hi + A.Lanes - 1,
+                       printExpr(A.Ref).c_str(), W.Lo, W.Hi + A.Lanes - 1,
                        Words));
     }
   }
@@ -289,10 +270,10 @@ private:
 
   KernelFunction &K;
   const PhaseModel &Model;
+  const DataflowResult *Facts;
   DiagnosticsEngine &Diags;
   const LintOptions &Opt;
   std::vector<AccessInfo> Globals;
-  DataflowResult Facts;
   std::set<const Stmt *> Guarded;
   int NumWarnings = 0;
 };
@@ -300,6 +281,7 @@ private:
 } // namespace
 
 int gpuc::lintKernel(KernelFunction &K, const PhaseModel &Model,
-                     DiagnosticsEngine &Diags, const LintOptions &Opt) {
-  return Linter(K, Model, Diags, Opt).run();
+                     const DataflowResult *Facts, DiagnosticsEngine &Diags,
+                     const LintOptions &Opt) {
+  return Linter(K, Model, Facts, Diags, Opt).run();
 }

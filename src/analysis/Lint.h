@@ -29,6 +29,7 @@
 
 namespace gpuc {
 
+struct DataflowResult;
 struct PhaseModel;
 
 /// How to lint. The bounds and bank-conflict lints always run.
@@ -45,10 +46,12 @@ struct LintOptions {
   std::string Context;
 };
 
-/// Runs the lints over \p K, whose buildPhaseModel is \p Model, reporting
-/// warnings to \p Diags. \returns the number of warnings produced.
+/// Runs the lints over \p K, whose buildPhaseModel is \p Model and whose
+/// runDataflow is \p Facts, reporting warnings to \p Diags. Only strict
+/// mode reads Facts; it may be null otherwise. \returns the number of
+/// warnings produced.
 int lintKernel(KernelFunction &K, const PhaseModel &Model,
-               DiagnosticsEngine &Diags,
+               const DataflowResult *Facts, DiagnosticsEngine &Diags,
                const LintOptions &Opt = LintOptions());
 
 } // namespace gpuc

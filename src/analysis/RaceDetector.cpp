@@ -8,6 +8,7 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <cassert>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -46,8 +47,9 @@ struct Occupant {
 
 class RaceScan {
 public:
-  RaceScan(const KernelFunction &K, const PhaseModel &Model)
-      : K(K), Model(Model) {}
+  RaceScan(const KernelFunction &K, const PhaseModel &Model,
+           const DataflowResult *Facts)
+      : K(K), Model(Model), Facts(Facts) {}
 
   RaceReport run() {
     Report.Analyzable = Model.Analyzable;
@@ -55,8 +57,7 @@ public:
     Report.Notes = Model.Problems;
     if (!Model.Analyzable)
       return std::move(Report);
-
-    Facts = runDataflow(K);
+    assert(Facts && "an analyzable phase model is scanned with its facts");
 
     // Word extents of every write per (phase, array), from the dataflow
     // engine's range facts; unknown when any write's extent is unknown.
@@ -123,7 +124,7 @@ private:
   /// Closed word interval [first, last] the access may touch, from the
   /// dataflow engine; unknown when the engine has no fact for it.
   Interval wordExtent(const SharedAccess &A) const {
-    const AccessFact *F = Facts.factFor(A.Ref);
+    const AccessFact *F = Facts->factFor(A.Ref);
     if (!F || !F->Words.Known)
       return Interval::top();
     return Interval::make(F->Words.Lo, F->Words.Hi + F->Lanes - 1);
@@ -323,8 +324,8 @@ private:
 
   const KernelFunction &K;
   const PhaseModel &Model;
+  const DataflowResult *Facts;
   RaceReport Report;
-  DataflowResult Facts;
   std::unordered_map<long long, WordState> Words;
   std::set<std::tuple<const ArrayRef *, const ArrayRef *, int, bool>> Seen;
 };
@@ -332,6 +333,7 @@ private:
 } // namespace
 
 RaceReport gpuc::detectSharedRaces(const KernelFunction &K,
-                                   const PhaseModel &Model) {
-  return RaceScan(K, Model).run();
+                                   const PhaseModel &Model,
+                                   const DataflowResult *Facts) {
+  return RaceScan(K, Model, Facts).run();
 }

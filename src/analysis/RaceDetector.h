@@ -31,6 +31,8 @@
 
 namespace gpuc {
 
+struct DataflowResult;
+
 /// One detected race with a concrete witness.
 struct RaceFinding {
   std::string Array;
@@ -65,9 +67,13 @@ struct RaceReport {
 };
 
 /// Runs the detector on \p K under its current launch configuration, over
-/// \p Model, K's buildPhaseModel. It enumerates at most 4096 free-loop
-/// value combinations per access and reports at most 16 findings.
-RaceReport detectSharedRaces(const KernelFunction &K, const PhaseModel &Model);
+/// \p Model, K's buildPhaseModel, and \p Facts, K's runDataflow, whose
+/// word ranges triage the accesses the enumeration cannot resolve. Facts
+/// are read only when Model is analyzable and may be null otherwise. It
+/// enumerates at most 4096 free-loop value combinations per access and
+/// reports at most 16 findings.
+RaceReport detectSharedRaces(const KernelFunction &K, const PhaseModel &Model,
+                             const DataflowResult *Facts);
 
 } // namespace gpuc
 

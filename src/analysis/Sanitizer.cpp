@@ -2,12 +2,14 @@
 
 #include "analysis/Sanitizer.h"
 
+#include "analysis/Dataflow.h"
 #include "analysis/Lint.h"
 #include "analysis/RaceDetector.h"
 #include "support/StringUtils.h"
 
 #include <memory>
 #include <mutex>
+#include <optional>
 
 using namespace gpuc;
 
@@ -24,11 +26,17 @@ void sanitizeKernel(KernelFunction &K, DiagnosticsEngine &Diags,
     return "[" + Context + "] " + Msg;
   };
   ++Summary.KernelsChecked;
-  // The race detector and the lints share one phase model.
+  // The race detector and the lints share one phase model and one run of
+  // the dataflow engine, made only when one of them reads its facts: the
+  // detector on an analyzable model, or the strict lints.
   const PhaseModel Model = buildPhaseModel(K);
+  std::optional<const DataflowResult> Flow;
+  if ((Opt.Races && Model.Analyzable) || (Opt.Lint && Opt.LintStrict))
+    Flow.emplace(runDataflow(K));
+  const DataflowResult *Facts = Flow ? &*Flow : nullptr;
 
   if (Opt.Races) {
-    const RaceReport Report = detectSharedRaces(K, Model);
+    const RaceReport Report = detectSharedRaces(K, Model, Facts);
     for (const RaceFinding &F : Report.Findings) {
       Diags.error(F.Loc1, Prefixed(strFormat("kernel '%s': %s",
                                              K.name().c_str(),
@@ -54,7 +62,7 @@ void sanitizeKernel(KernelFunction &K, DiagnosticsEngine &Diags,
 
   if (Opt.Lint)
     Summary.LintWarnings += lintKernel(
-        K, Model, Diags,
+        K, Model, Facts, Diags,
         {.Coalescing = Final, .Strict = Opt.LintStrict, .Context = Context});
 }
 

@@ -2,7 +2,7 @@
 
 #include "analysis/SharedAccess.h"
 
-#include "ast/Printer.h"
+#include "analysis/Dataflow.h"
 #include "ast/Walk.h"
 #include "support/StringUtils.h"
 
@@ -169,52 +169,15 @@ private:
       if (B->op() == BinOp::LOr && Negate)
         return buildGuards(B->lhs(), true, Out) &&
                buildGuards(B->rhs(), true, Out);
-      if (B->op() == BinOp::LAnd || B->op() == BinOp::LOr)
-        return false;
-      BinOp Op = B->op();
-      switch (Op) {
-      case BinOp::LT:
-      case BinOp::LE:
-      case BinOp::GT:
-      case BinOp::GE:
-      case BinOp::EQ:
-      case BinOp::NE:
-        break;
-      default:
-        return false;
-      }
       AffineExpr L, R;
-      if (!buildAffine(B->lhs(), K, L) || !buildAffine(B->rhs(), K, R))
+      if (!isCmpOp(B->op()) || !buildAffine(B->lhs(), K, L) ||
+          !buildAffine(B->rhs(), K, R))
         return false;
-      if (Negate) {
-        switch (Op) {
-        case BinOp::LT:
-          Op = BinOp::GE;
-          break;
-        case BinOp::LE:
-          Op = BinOp::GT;
-          break;
-        case BinOp::GT:
-          Op = BinOp::LE;
-          break;
-        case BinOp::GE:
-          Op = BinOp::LT;
-          break;
-        case BinOp::EQ:
-          Op = BinOp::NE;
-          break;
-        case BinOp::NE:
-          Op = BinOp::EQ;
-          break;
-        default:
-          return false;
-        }
-      }
       AccessGuard G;
       G.Delta = L;
       G.Delta -= R;
       substituteEnv(G.Delta, SyncIters);
-      G.Cmp = Op;
+      G.Cmp = Negate ? negateCmp(B->op()) : B->op();
       Out.push_back(std::move(G));
       return true;
     }
@@ -488,23 +451,8 @@ EnumLoop gpuc::enumerateLoopValues(const ForStmt *F, const KernelFunction &K,
 bool gpuc::guardHolds(const AccessGuard &G, long long Tidx, long long Tidy,
                       long long Bidx, long long Bidy,
                       const std::map<std::string, long long> &LoopValues) {
-  long long D = G.Delta.evaluate(Tidx, Tidy, Bidx, Bidy, LoopValues);
-  switch (G.Cmp) {
-  case BinOp::LT:
-    return D < 0;
-  case BinOp::LE:
-    return D <= 0;
-  case BinOp::GT:
-    return D > 0;
-  case BinOp::GE:
-    return D >= 0;
-  case BinOp::EQ:
-    return D == 0;
-  case BinOp::NE:
-    return D != 0;
-  default:
-    return true;
-  }
+  return satisfiesCmp(G.Delta.evaluate(Tidx, Tidy, Bidx, Bidy, LoopValues),
+                      G.Cmp);
 }
 
 PhaseModel gpuc::buildPhaseModel(const KernelFunction &K) {

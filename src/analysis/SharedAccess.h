@@ -51,6 +51,7 @@ struct EnumLoop {
 /// guards (non-affine conditions) are treated as may-true.
 struct AccessGuard {
   AffineExpr Delta;
+  /// One of the six comparisons (isCmpOp in analysis/Dataflow.h).
   BinOp Cmp = BinOp::LT;
 };
 

@@ -72,11 +72,8 @@ public:
   Binary *div(Expr *L, Expr *R) { return bin(BinOp::Div, L, R); }
   Binary *rem(Expr *L, Expr *R) { return bin(BinOp::Rem, L, R); }
   Binary *lt(Expr *L, Expr *R) { return bin(BinOp::LT, L, R); }
-  Binary *le(Expr *L, Expr *R) { return bin(BinOp::LE, L, R); }
-  Binary *gt(Expr *L, Expr *R) { return bin(BinOp::GT, L, R); }
   Binary *ge(Expr *L, Expr *R) { return bin(BinOp::GE, L, R); }
   Binary *eq(Expr *L, Expr *R) { return bin(BinOp::EQ, L, R); }
-  Binary *ne(Expr *L, Expr *R) { return bin(BinOp::NE, L, R); }
   Binary *land(Expr *L, Expr *R) { return bin(BinOp::LAnd, L, R); }
 
   /// idx + c, folding c == 0 away.

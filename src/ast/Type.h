@@ -38,7 +38,6 @@ public:
   static Type float4Ty() { return Type(TypeKind::Float4); }
 
   TypeKind kind() const { return K; }
-  bool isVoid() const { return K == TypeKind::Void; }
   bool isBool() const { return K == TypeKind::Bool; }
   bool isInt() const { return K == TypeKind::Int; }
   bool isFloat() const { return K == TypeKind::Float; }

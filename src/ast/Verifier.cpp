@@ -141,7 +141,7 @@ private:
       }
       case StmtKind::Sync:
         // Barrier uniformity is a semantic property, proven (or refuted)
-        // by analysis/BarrierCheck's divergence lattice.
+        // by the dataflow engine's divergence lattice (analysis/Dataflow).
         break;
       }
     }

@@ -36,8 +36,8 @@ namespace gpuc {
 ///
 /// Barrier validity (no barrier under divergent control flow or inside a
 /// loop with thread-dependent trip count) is proven separately by the
-/// divergence lattice in analysis/BarrierCheck, which the compiler runs
-/// alongside this structural pass.
+/// dataflow engine's divergence lattice (analysis/Dataflow.h), whose
+/// barrier facts the compiler reports alongside this structural pass.
 ///
 /// \returns human-readable violations; empty means the kernel verified.
 std::vector<std::string> verifyKernel(const KernelFunction &K);

@@ -2,11 +2,11 @@
 
 #include "core/Compiler.h"
 
+#include "analysis/Dataflow.h"
 #include "ast/Clone.h"
 #include "ast/Hash.h"
 #include "ast/Printer.h"
 #include "ast/Verifier.h"
-#include "analysis/BarrierCheck.h"
 #include "cache/DiskCache.h"
 #include "core/BlockMerge.h"
 #include "core/Coalescing.h"
@@ -226,12 +226,15 @@ KernelFunction *GpuCompiler::compileVariant(const KernelFunction &Naive,
   // Barrier uniformity is semantic, not structural: the dataflow engine's
   // divergence lattice must prove every barrier (conservative parity with
   // the pre-analysis Verifier: an unproven barrier is still an error, but
-  // thread-invariant conditions now verify). The same engine run answers
-  // the search's static prune.
-  DataflowResult Facts = runDataflow(*V);
-  for (const BarrierIssue &Issue : checkBarriers(Facts))
-    Diags.error(SourceLocation(), strFormat("%s: %s", V->name().c_str(),
-                                            Issue.Message.c_str()));
+  // thread-invariant conditions now verify). Refuted barriers are
+  // reported before unproven ones, each group in statement order. The
+  // same engine run answers the search's static prune.
+  const DataflowResult Facts = runDataflow(*V);
+  for (Verdict Kind : {Verdict::Violation, Verdict::Possible})
+    for (const BarrierFact &F : Facts.Barriers)
+      if (F.Uniformity == Kind)
+        Diags.error(SourceLocation(), strFormat("%s: %s", V->name().c_str(),
+                                                F.Reason.c_str()));
   if (ViolationOut)
     *ViolationOut = Facts.anyViolation();
   Stage("final", /*Final=*/true);

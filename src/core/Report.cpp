@@ -109,10 +109,6 @@ std::string gpuc::searchStatsReport(const SearchStats &S) {
   return OS.str();
 }
 
-std::string gpuc::searchStatsReport(const CompileOutput &Out) {
-  return searchStatsReport(Out.Search);
-}
-
 std::string gpuc::fusionReport(const ProgramCompileOutput &Out) {
   std::ostringstream OS;
   OS << "== fusion ==\n  pipeline:";

@@ -37,9 +37,8 @@ std::string designSpaceReport(const CompileOutput &Out);
 
 /// Search counters: lanes, candidates, simulations vs. probes vs. pruned,
 /// cache traffic, scalar-engine fallbacks and wall-clock (gpucc
-/// --search-stats). The SearchStats overload serves program-level
-/// aggregates (compileProgram) with the same format.
-std::string searchStatsReport(const CompileOutput &Out);
+/// --search-stats), for one search or a program's aggregate
+/// (compileProgram).
 std::string searchStatsReport(const SearchStats &S);
 
 /// The fusion legality verdict, placements and fused-vs-unfused decision

@@ -11,7 +11,7 @@
 #include <fstream>
 #include <mutex>
 #include <ostream>
-#include <set>
+#include <unordered_set>
 
 using namespace gpuc;
 
@@ -146,47 +146,55 @@ void writeArtifacts(const std::string &OutDir, const FuzzCase &C) {
   std::ofstream(Base + ".json") << failureRecordJson(C);
 }
 
+/// What one seed generates: a kernel, or a chain under --pipeline.
+struct GeneratedCase {
+  std::string Shape;
+  std::string Source;
+  uint64_t StructureHash = 0;
+};
+
+GeneratedCase generateCase(unsigned Seed, bool Pipeline) {
+  KernelGen Gen(Seed);
+  if (Pipeline) {
+    GeneratedPipeline GP = Gen.generatePipeline();
+    return {std::move(GP.Shape), std::move(GP.Source), GP.StructureHash};
+  }
+  GeneratedKernel GK = Gen.generate();
+  return {std::move(GK.Shape), std::move(GK.Source), GK.StructureHash};
+}
+
 } // namespace
 
 FuzzSummary gpuc::runFuzz(const FuzzOptions &Opt, std::ostream *Progress) {
   FuzzSummary Sum;
   size_t N = Opt.NumSeeds;
   std::vector<FuzzCase> Cases(N);
-
-  // Structural-dedupe set, shared across lanes. A seed that hashes to an
-  // already-seen kernel skips the (expensive) oracle; first writer wins,
-  // which is deterministic enough for counting (the set of unique hashes
-  // is schedule-independent even if which seed "owns" one is not).
-  std::set<uint64_t> Seen;
-  std::mutex Mu;
-
   const unsigned Lanes =
       Opt.Jobs <= 0 ? defaultConcurrency() : static_cast<unsigned>(Opt.Jobs);
-  parallelFor(Lanes, N, [&](size_t I) {
+
+  // Generation is seed-deterministic, and cheap next to the oracle, so it
+  // runs first and in seed order: a seed whose kernel a lower seed already
+  // generated is a Duplicate. So the seed that owns a kernel, and with it
+  // the inputs its oracle draws, is the same at every lane count.
+  std::vector<size_t> Owners;
+  std::unordered_set<uint64_t> Seen;
+  for (size_t I = 0; I < N; ++I) {
     FuzzCase &C = Cases[I];
     C.Seed = Opt.FirstSeed + static_cast<unsigned>(I);
+    GeneratedCase G = generateCase(C.Seed, Opt.Pipeline);
+    C.Shape = std::move(G.Shape);
+    if (Seen.insert(G.StructureHash).second)
+      Owners.push_back(I);
+    else
+      C.St = FuzzCase::Status::Duplicate;
+  }
 
-    KernelGen Gen(C.Seed);
-    std::string Source;
-    uint64_t StructureHash;
-    if (Opt.Pipeline) {
-      GeneratedPipeline GP = Gen.generatePipeline();
-      C.Shape = GP.Shape;
-      Source = std::move(GP.Source);
-      StructureHash = GP.StructureHash;
-    } else {
-      GeneratedKernel GK = Gen.generate();
-      C.Shape = GK.Shape;
-      Source = std::move(GK.Source);
-      StructureHash = GK.StructureHash;
-    }
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      if (!Seen.insert(StructureHash).second) {
-        C.St = FuzzCase::Status::Duplicate;
-        return;
-      }
-    }
+  // The oracle pass regenerates each owner's source rather than holding
+  // every seed's.
+  std::mutex ProgressMu;
+  parallelFor(Lanes, Owners.size(), [&](size_t J) {
+    FuzzCase &C = Cases[Owners[J]];
+    const std::string Source = generateCase(C.Seed, Opt.Pipeline).Source;
 
     // Per-case oracle config: remix the input seed so different kernels
     // see different data, deterministically in the case seed.
@@ -215,7 +223,7 @@ FuzzSummary gpuc::runFuzz(const FuzzOptions &Opt, std::ostream *Progress) {
     if (R.Passed) {
       C.St = FuzzCase::Status::Passed;
       if (Progress) {
-        std::lock_guard<std::mutex> Lock(Mu);
+        std::lock_guard<std::mutex> Lock(ProgressMu);
         *Progress << strFormat("seed %u: ok (%s, %d variants)\n", C.Seed,
                                C.Shape.c_str(), R.VariantsChecked);
       }
@@ -233,7 +241,7 @@ FuzzSummary gpuc::runFuzz(const FuzzOptions &Opt, std::ostream *Progress) {
     if (!Opt.OutDir.empty())
       writeArtifacts(Opt.OutDir, C);
     if (Progress) {
-      std::lock_guard<std::mutex> Lock(Mu);
+      std::lock_guard<std::mutex> Lock(ProgressMu);
       *Progress << strFormat("seed %u: FAIL %s at stage '%s' (%s)\n", C.Seed,
                              failureKindName(C.Failure.FailKind),
                              C.Failure.Stage.c_str(), C.Shape.c_str());

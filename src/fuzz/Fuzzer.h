@@ -7,10 +7,11 @@
 ///
 /// \file
 /// The seed-parallel fuzzing loop: each seed deterministically generates a
-/// naive kernel (fuzz/KernelGen), structurally deduplicates it against the
-/// kernels earlier seeds produced (ast/Hash), round-trips it through the
-/// parser, and differentially validates every optimization variant against
-/// the naive semantics (fuzz/Oracle). Failing cases are minimized with
+/// naive kernel (fuzz/KernelGen), which is structurally deduplicated
+/// against the kernels lower seeds generate (ast/Hash) before any oracle
+/// runs. Each remaining kernel round-trips through the parser, and every
+/// optimization variant is differentially validated against the naive
+/// semantics (fuzz/Oracle). Failing cases are minimized with
 /// fuzz/Reducer under a predicate pinned to the original failure signature
 /// (kind + blamed stage), and written out as a replayable .cu repro plus a
 /// machine-readable .json failure record.

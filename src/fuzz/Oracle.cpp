@@ -246,8 +246,8 @@ std::string engineDivergence(const Simulator &Sim, const Chain &Inputs,
 
 StaticClass classifyStatic(const KernelFunction &K) {
   StaticClass C;
-  DataflowResult DF = runDataflow(K);
-  RaceReport RR = detectSharedRaces(K, buildPhaseModel(K));
+  const DataflowResult DF = runDataflow(K);
+  const RaceReport RR = detectSharedRaces(K, buildPhaseModel(K), &DF);
   int Proven = 0, Possible = 0, Violations = 0;
   for (const AccessFact &A : DF.Accesses) {
     if (A.Bounds == Verdict::Proven)

@@ -50,13 +50,11 @@ public:
   /// When enabled, subsequent warnings are recorded and counted as errors
   /// (rendered with a "[-Werror]" suffix).
   void setWarningsAsErrors(bool Enable) { WarningsAsErrors = Enable; }
-  bool warningsAsErrors() const { return WarningsAsErrors; }
 
   bool hasErrors() const { return NumErrors > 0; }
   bool hasWarnings() const { return NumWarnings > 0; }
   unsigned errorCount() const { return NumErrors; }
   unsigned warningCount() const { return NumWarnings; }
-  unsigned noteCount() const { return NumNotes; }
   unsigned count(DiagKind Kind) const;
   const std::vector<Diagnostic> &diagnostics() const { return Diags; }
 

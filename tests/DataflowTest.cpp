@@ -10,7 +10,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/BarrierCheck.h"
 #include "analysis/Dataflow.h"
 #include "ast/Printer.h"
 #include "baselines/NaiveKernels.h"
@@ -235,9 +234,6 @@ TEST(Dataflow, DivergentBarrierIsViolation) {
   DataflowResult R = runDataflow(*K);
   ASSERT_EQ(R.Barriers.size(), 1u);
   EXPECT_EQ(R.Barriers[0].Uniformity, Verdict::Violation) << describe(R);
-  std::vector<BarrierIssue> Issues = checkBarriers(R);
-  ASSERT_EQ(Issues.size(), 1u);
-  EXPECT_EQ(Issues[0].Uniformity, Verdict::Violation);
 }
 
 TEST(Dataflow, ThreadDependentTripBarrierIsViolation) {
@@ -281,7 +277,6 @@ TEST(Dataflow, UniformTripBarrierIsProven) {
   DataflowResult R = runDataflow(*K);
   ASSERT_EQ(R.Barriers.size(), 2u);
   EXPECT_TRUE(R.barriersClean()) << describe(R);
-  EXPECT_TRUE(checkBarriers(R).empty());
 }
 
 TEST(Dataflow, WhileWithThreadDependentConditionFlagsBarrier) {

@@ -2,7 +2,7 @@
 
 #include "ast/Builder.h"
 #include "ast/Printer.h"
-#include "analysis/BarrierCheck.h"
+#include "analysis/Dataflow.h"
 #include "ast/Verifier.h"
 #include "baselines/CpuReference.h"
 #include "core/AmdVectorize.h"
@@ -154,10 +154,10 @@ TEST(Verifier, FlagsBarrierUnderIf) {
   B.endIf();
   KernelFunction *K = B.finish(16, 1, 64, 1);
   EXPECT_TRUE(verifyKernel(*K).empty());
-  std::vector<BarrierIssue> Issues = checkBarriers(*K);
-  ASSERT_FALSE(Issues.empty());
-  EXPECT_EQ(Issues[0].Uniformity, Verdict::Violation);
-  EXPECT_NE(Issues[0].Message.find("barrier"), std::string::npos);
+  const DataflowResult R = runDataflow(*K);
+  ASSERT_EQ(R.Barriers.size(), 1u);
+  EXPECT_EQ(R.Barriers[0].Uniformity, Verdict::Violation);
+  EXPECT_NE(R.Barriers[0].Reason.find("barrier"), std::string::npos);
 }
 
 TEST(Verifier, FlagsOversizedBlock) {

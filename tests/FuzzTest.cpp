@@ -11,6 +11,8 @@
 //    RunError at stage "input" (StaticUnsound and InterpDivergence need
 //    a broken analysis or engine, so no test triggers them);
 //  * the reducer shrinks an injected-bug repro to a small dialect program;
+//  * the fuzzing loop gives each kernel to its lowest seed at any lane
+//    count;
 //  * gpucc --validate's mismatch count treats a one-sided NaN as a
 //    mismatch.
 //
@@ -32,6 +34,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <set>
+#include <sstream>
 
 using namespace gpuc;
 
@@ -706,6 +710,35 @@ TEST(FuzzLoopTest, LayoutSmokeRunIsCleanAndJobsInvariant) {
   EXPECT_EQ(Par.Duplicates, Ser.Duplicates);
   EXPECT_EQ(Par.VariantsChecked, Ser.VariantsChecked);
   EXPECT_EQ(Par.ShapeCounts, Ser.ShapeCounts);
+}
+
+TEST(FuzzLoopTest, DuplicatesAreDecidedInSeedOrder) {
+  // Seeds 0-124 generate ten kernels a lower seed already generated. The
+  // lowest seed of each kernel owns it, and with it the oracle's inputs,
+  // at any lane count: a progress stream at eight lanes reports exactly
+  // those seeds ok.
+  std::set<unsigned> Owners;
+  std::set<uint64_t> Seen;
+  for (unsigned S = 0; S < 125; ++S)
+    if (Seen.insert(KernelGen(S).generate().StructureHash).second)
+      Owners.insert(S);
+
+  FuzzOptions Opt;
+  Opt.FirstSeed = 0;
+  Opt.NumSeeds = 125;
+  Opt.Jobs = 8;
+  Opt.Oracle.CheckInterp = false;
+  std::ostringstream Progress;
+  const FuzzSummary Sum = runFuzz(Opt, &Progress);
+  EXPECT_EQ(Sum.Duplicates, 10);
+  EXPECT_EQ(Sum.Failed, 0);
+
+  std::set<unsigned> Reported;
+  std::istringstream Lines(Progress.str());
+  for (std::string Line; std::getline(Lines, Line);)
+    if (Line.rfind("seed ", 0) == 0 && Line.find(": ok (") != std::string::npos)
+      Reported.insert(static_cast<unsigned>(std::stoul(Line.substr(5))));
+  EXPECT_EQ(Reported, Owners) << Progress.str();
 }
 
 TEST(LayoutOracleTest, PassesOnMmShapedKernelWithFullFamily) {

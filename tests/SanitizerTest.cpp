@@ -10,11 +10,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Dataflow.h"
 #include "analysis/Lint.h"
 #include "analysis/RaceDetector.h"
 #include "analysis/Sanitizer.h"
 #include "ast/Printer.h"
-#include "analysis/BarrierCheck.h"
 #include "ast/Verifier.h"
 #include "ast/Walk.h"
 #include "baselines/CpuReference.h"
@@ -118,6 +118,13 @@ KernelFunction *parseSource(Module &M, const char *Src,
   return K;
 }
 
+/// The static race detector over \p K as the sanitizer runs it, on one
+/// phase model and one dataflow result.
+RaceReport staticRaces(const KernelFunction &K) {
+  const DataflowResult Facts = runDataflow(K);
+  return detectSharedRaces(K, buildPhaseModel(K), &Facts);
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -135,7 +142,7 @@ TEST_P(SanitizerAlgo, NaiveKernelIsRaceFree) {
   ASSERT_NE(K, nullptr) << D.str();
   setNaiveLaunch(*K);
 
-  RaceReport R = detectSharedRaces(*K, buildPhaseModel(*K));
+  RaceReport R = staticRaces(*K);
   EXPECT_TRUE(R.clean()) << (R.Findings.empty() ? "unanalyzable"
                                                 : R.Findings[0].str());
 
@@ -157,7 +164,7 @@ TEST_P(SanitizerAlgo, OptimizedKernelIsRaceFree) {
 
   // Static verdict: the barrier placement of every staging rewrite the
   // compiler performed is race-free.
-  RaceReport R = detectSharedRaces(*Out.Best, buildPhaseModel(*Out.Best));
+  RaceReport R = staticRaces(*Out.Best);
   EXPECT_TRUE(R.Analyzable) << printKernel(*Out.Best);
   EXPECT_TRUE(R.Findings.empty())
       << R.Findings[0].str() << "\n"
@@ -196,7 +203,7 @@ void expectMutantFlagged(Algo A, int SyncIndex) {
       << printKernel(*Out.Best);
   ASSERT_TRUE(removeSync(Out.Best->body(), SyncIndex));
 
-  RaceReport R = detectSharedRaces(*Out.Best, buildPhaseModel(*Out.Best));
+  RaceReport R = staticRaces(*Out.Best);
   ASSERT_TRUE(R.Analyzable);
   ASSERT_FALSE(R.Findings.empty())
       << "static detector missed the seeded race:\n"
@@ -256,7 +263,7 @@ TEST(SanitizerMutants, MissingBarrierWriteReadRace) {
   ASSERT_NE(K, nullptr);
   setNaiveLaunch(*K);
 
-  RaceReport R = detectSharedRaces(*K, buildPhaseModel(*K));
+  RaceReport R = staticRaces(*K);
   ASSERT_TRUE(R.Analyzable);
   ASSERT_FALSE(R.Findings.empty());
   const RaceFinding &F = R.Findings.front();
@@ -281,7 +288,7 @@ TEST(SanitizerMutants, MissingBarrierWriteReadRace) {
   KernelFunction *K2 = parseSource(M2, Fixed, D2);
   ASSERT_NE(K2, nullptr);
   setNaiveLaunch(*K2);
-  RaceReport R2 = detectSharedRaces(*K2, buildPhaseModel(*K2));
+  RaceReport R2 = staticRaces(*K2);
   EXPECT_TRUE(R2.clean());
 }
 
@@ -309,7 +316,7 @@ TEST(SanitizerStatic, RedundantHaloCopyIsBenign) {
   L.BlockDimY = 1;
   L.GridDimX = 1;
   L.GridDimY = 16;
-  RaceReport R = detectSharedRaces(*K, buildPhaseModel(*K));
+  RaceReport R = staticRaces(*K);
   EXPECT_TRUE(R.clean()) << (R.Findings.empty() ? "unanalyzable"
                                                 : R.Findings[0].str());
 
@@ -330,9 +337,53 @@ TEST(SanitizerStatic, RedundantHaloCopyIsBenign) {
   KernelFunction *K2 = parseSource(M2, Racy, D2);
   ASSERT_NE(K2, nullptr);
   K2->launch() = L;
-  RaceReport R2 = detectSharedRaces(*K2, buildPhaseModel(*K2));
+  RaceReport R2 = staticRaces(*K2);
   ASSERT_FALSE(R2.Findings.empty());
   EXPECT_TRUE(R2.Findings.front().WriteWrite);
+}
+
+TEST(SanitizerStatic, ElseBranchGuardsAreNegatedExactly) {
+  // The else branch stores to s[0] on every thread the condition excludes:
+  // one such thread is race-free, more is a write-write race. A negated
+  // disjunction is an exact guard; a negated conjunction is not, so its
+  // else branch may run on every thread.
+  const struct {
+    const char *Cond;
+    bool Races;
+  } Cases[] = {{"tidx < 15", false},
+               {"tidx <= 14", false},
+               {"tidx > 0", false},
+               {"tidx >= 1", false},
+               {"tidx != 0", false},
+               {"tidx > 0 || tidx < 0", false},
+               {"tidx == 0", true},
+               {"!(tidx < 15)", true},
+               {"tidx > 0 && tidx < 16", true}};
+  for (const auto &C : Cases) {
+    const std::string Src =
+        std::string("#pragma gpuc output(out)\n"
+                    "__global__ void k(float in[16][16],\n"
+                    "                  float out[16][16]) {\n"
+                    "  __shared__ float s[32];\n"
+                    "  if (") +
+        C.Cond +
+        ") {\n"
+        "    s[(tidx + 16)] = in[idy][idx];\n"
+        "  } else {\n"
+        "    s[0] = in[idy][idx];\n"
+        "  }\n"
+        "  __syncthreads();\n"
+        "  out[idy][idx] = s[tidx];\n"
+        "}\n";
+    Module M;
+    DiagnosticsEngine D;
+    KernelFunction *K = parseSource(M, Src.c_str(), D);
+    ASSERT_NE(K, nullptr) << C.Cond;
+    setNaiveLaunch(*K);
+    const RaceReport R = staticRaces(*K);
+    EXPECT_TRUE(R.Analyzable) << C.Cond;
+    EXPECT_EQ(!R.Findings.empty(), C.Races) << C.Cond;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -352,7 +403,7 @@ TEST(Lint, FlagsSharedOutOfBounds) {
   KernelFunction *K = parseSource(M, Src, D);
   ASSERT_NE(K, nullptr);
   setNaiveLaunch(*K);
-  EXPECT_GT(lintKernel(*K, buildPhaseModel(*K), D), 0);
+  EXPECT_GT(lintKernel(*K, buildPhaseModel(*K), nullptr, D), 0);
   EXPECT_NE(D.str().find("out of bounds"), std::string::npos) << D.str();
 }
 
@@ -369,7 +420,7 @@ TEST(Lint, FlagsBankConflicts) {
   KernelFunction *K = parseSource(M, Src, D);
   ASSERT_NE(K, nullptr);
   setNaiveLaunch(*K);
-  EXPECT_GT(lintKernel(*K, buildPhaseModel(*K), D), 0);
+  EXPECT_GT(lintKernel(*K, buildPhaseModel(*K), nullptr, D), 0);
   EXPECT_NE(D.str().find("bank"), std::string::npos) << D.str();
 }
 
@@ -388,7 +439,42 @@ TEST(Lint, CleanKernelHasNoWarnings) {
   setNaiveLaunch(*K);
   LintOptions LO;
   LO.Coalescing = false; // a toy kernel need not be coalesced
-  EXPECT_EQ(lintKernel(*K, buildPhaseModel(*K), D, LO), 0) << D.str();
+  EXPECT_EQ(lintKernel(*K, buildPhaseModel(*K), nullptr, D, LO), 0)
+      << D.str();
+}
+
+TEST(Lint, BoundsRangesSpanTheLaunchAndLoopTrips) {
+  // Default mode bounds each address over every thread, block and loop
+  // trip: the global load reaches element 15*16 + 15 + 3 (bytes up to
+  // 1035), the shared store word 15 + 3.
+  const char *Src = "#pragma gpuc output(out)\n"
+                    "__global__ void k(float in[16][16],\n"
+                    "                  float out[16][16]) {\n"
+                    "  __shared__ float tile[16];\n"
+                    "  for (int i = 0; i < 4; i = i + 1) {\n"
+                    "    tile[(tidx + i)] = in[idy][(idx + i)];\n"
+                    "  }\n"
+                    "  __syncthreads();\n"
+                    "  out[idy][idx] = tile[tidx];\n"
+                    "}\n";
+  Module M;
+  DiagnosticsEngine D;
+  KernelFunction *K = parseSource(M, Src, D);
+  ASSERT_NE(K, nullptr);
+  setNaiveLaunch(*K);
+  LintOptions LO;
+  LO.Coalescing = false;
+  EXPECT_EQ(lintKernel(*K, buildPhaseModel(*K), nullptr, D, LO), 2)
+      << D.str();
+  const std::string T = D.str();
+  EXPECT_NE(T.find("load of 'in[idy][(idx+i)]' may be out of bounds: byte "
+                   "address range [0, 1035] exceeds the declared 1024 bytes"),
+            std::string::npos)
+      << T;
+  EXPECT_NE(T.find("store of __shared__ 'tile[(tidx+i)]' may be out of "
+                   "bounds: word range [0, 18] exceeds the declared 16 words"),
+            std::string::npos)
+      << T;
 }
 
 namespace {
@@ -406,7 +492,8 @@ std::string strictLint(const char *Src, bool Coalescing, int &Warnings) {
   LintOptions LO;
   LO.Strict = true;
   LO.Coalescing = Coalescing;
-  Warnings = lintKernel(*K, buildPhaseModel(*K), D, LO);
+  const DataflowResult Facts = runDataflow(*K);
+  Warnings = lintKernel(*K, buildPhaseModel(*K), &Facts, D, LO);
   return D.str();
 }
 
@@ -543,12 +630,12 @@ TEST(Verifier, FlagsThreadDependentTripBarrier) {
   KernelFunction *K = parseSource(M, Src, D);
   ASSERT_NE(K, nullptr);
   EXPECT_TRUE(verifyKernel(*K).empty());
-  std::vector<BarrierIssue> Issues = checkBarriers(*K);
+  const DataflowResult R = runDataflow(*K);
   bool Found = false;
-  for (const BarrierIssue &I : Issues)
-    Found |= I.Uniformity == Verdict::Violation &&
-             I.Message.find("thread-dependent") != std::string::npos;
-  EXPECT_TRUE(Found) << "got " << Issues.size() << " issues";
+  for (const BarrierFact &F : R.Barriers)
+    Found |= F.Uniformity == Verdict::Violation &&
+             F.Reason.find("thread-dependent") != std::string::npos;
+  EXPECT_TRUE(Found) << "got " << R.Barriers.size() << " barrier facts";
 }
 
 TEST(Verifier, AcceptsUniformTripBarrier) {
@@ -566,9 +653,9 @@ TEST(Verifier, AcceptsUniformTripBarrier) {
   KernelFunction *K = parseSource(M, Src, D);
   ASSERT_NE(K, nullptr);
   EXPECT_TRUE(verifyKernel(*K).empty());
-  for (const BarrierIssue &I : checkBarriers(*K))
-    EXPECT_EQ(I.Message.find("thread-dependent"), std::string::npos)
-        << I.Message;
+  for (const BarrierFact &F : runDataflow(*K).Barriers)
+    EXPECT_EQ(F.Reason.find("thread-dependent"), std::string::npos)
+        << F.Reason;
 }
 
 //===----------------------------------------------------------------------===//

@@ -880,8 +880,10 @@ TEST(ServeEndToEnd, ColdAndWarmClientsShareOneDaemonCache) {
   const std::string Kernel = Dir.Path + "/mm.cu";
   writeFile(Kernel, naiveSource(Algo::MM, 64));
 
+  const std::string StatsFile = Dir.Path + "/stats-final.json";
   pid_t D = spawnDaemon({"--socket=" + Dir.sock(),
-                         "--cache-dir=" + Dir.cacheDir(), "--workers=2"});
+                         "--cache-dir=" + Dir.cacheDir(), "--workers=2",
+                         "--stats-file=" + StatsFile});
   ASSERT_GT(D, 0);
   ASSERT_TRUE(waitForDaemon(Dir.sock()));
 
@@ -901,16 +903,29 @@ TEST(ServeEndToEnd, ColdAndWarmClientsShareOneDaemonCache) {
             std::string::npos);
   EXPECT_EQ(slurp(Dir.Path + "/warm.err").find("compiling in-process"),
             std::string::npos);
+  // The daemon runs the in-process flow, so its reply is a plain local
+  // compile's output byte for byte.
+  ASSERT_EQ(runShell(std::string(GPUCC_BIN) + " --no-disk-cache " + Kernel +
+                     " > " + Dir.Path + "/local.out"),
+            0);
+  EXPECT_EQ(slurp(Dir.Path + "/cold.out"), slurp(Dir.Path + "/local.out"));
 
   std::string Json, Err;
   ASSERT_EQ(fetchDaemonStats(Dir.sock(), Json, Err), ClientStatus::Ok);
+  EXPECT_NE(Json.find("\"served\": 2,"), std::string::npos) << Json;
   EXPECT_NE(Json.find("\"warm_fast_path\": 1"), std::string::npos) << Json;
   EXPECT_NE(Json.find("\"disk_opens\": 1"), std::string::npos) << Json;
+  EXPECT_NE(Json.find("\"protocol_errors\": 0,"), std::string::npos) << Json;
+  EXPECT_NE(Json.find("\"disk_quarantined\": 0,"), std::string::npos)
+      << Json;
 
   ASSERT_EQ(requestDaemonShutdown(Dir.sock(), Err), ClientStatus::Ok);
   int Status = 0;
   ASSERT_EQ(::waitpid(D, &Status, 0), D);
   EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 0);
+  // --stats-file holds the snapshot taken at shutdown.
+  EXPECT_NE(slurp(StatsFile).find("\"served\": 2,"), std::string::npos)
+      << slurp(StatsFile);
 }
 
 TEST(ServeEndToEnd, SigkillMidRequestThenClientFallsBack) {
