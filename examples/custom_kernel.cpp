@@ -63,10 +63,9 @@ int main() {
       continue;
     }
     Simulator Sim(Dev);
-    BufferSet B1, B2;
     DiagnosticsEngine D;
-    PerfResult RN = Sim.runPerformance(*Naive, B1, D);
-    PerfResult RO = Sim.runPerformance(*Out.Best, B2, D);
+    PerfResult RN = Sim.runPerformance(*Naive, D);
+    PerfResult RO = Sim.runPerformance(*Out.Best, D);
     std::printf("\n%s: naive %.3f ms -> optimized %.3f ms (%.1fx), "
                 "blocks=%d threads=%d\n",
                 Dev.Name.c_str(), RN.TimeMs, RO.TimeMs,

@@ -24,9 +24,8 @@ namespace {
 
 double gflopsOf(KernelFunction &K, long long N) {
   Simulator Sim(DeviceSpec::gtx280());
-  BufferSet B;
   DiagnosticsEngine D;
-  PerfResult R = Sim.runPerformance(K, B, D);
+  PerfResult R = Sim.runPerformance(K, D);
   return R.Valid ? fftFlops(N) / (R.TimeMs * 1e6) : 0;
 }
 

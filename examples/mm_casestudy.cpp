@@ -78,9 +78,8 @@ int main() {
       double G = 0;
       if (V && !computeOccupancy(Dev, *V).Infeasible) {
         Simulator Sim(Dev);
-        BufferSet B;
         DiagnosticsEngine D;
-        PerfResult R = Sim.runPerformance(*V, B, D);
+        PerfResult R = Sim.runPerformance(*V, D);
         if (R.Valid)
           G = R.gflops(Flops);
       }

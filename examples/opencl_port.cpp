@@ -57,9 +57,8 @@ int main() {
       continue;
     }
     Simulator Sim(T.Dev);
-    BufferSet B;
     DiagnosticsEngine D;
-    PerfResult R = Sim.runPerformance(*Out.Best, B, D);
+    PerfResult R = Sim.runPerformance(*Out.Best, D);
     double Bytes = 3.0 * 4.0 * 1048576; // 2 reads + 1 write
     std::printf("//=== %s: %.1f GB/s effective ===\n%s\n",
                 T.Dev.Name.c_str(),

@@ -81,9 +81,8 @@ int main() {
   std::printf("functional check: %lld mismatches\n", Bad);
 
   // 5. Compare simulated performance.
-  BufferSet B1, B2;
-  PerfResult RNaive = Sim.runPerformance(*Naive, B1, Diags);
-  PerfResult ROpt = Sim.runPerformance(*Out.Best, B2, Diags);
+  PerfResult RNaive = Sim.runPerformance(*Naive, Diags);
+  PerfResult ROpt = Sim.runPerformance(*Out.Best, Diags);
   double Flops = algoFlops(Algo::MM, 512);
   std::printf("naive:     %8.3f ms  (%6.1f GFLOPS)\n", RNaive.TimeMs,
               RNaive.gflops(Flops));

@@ -53,7 +53,6 @@ public:
 
   RaceReport run() {
     Report.Analyzable = Model.Analyzable;
-    Report.Sampled = Model.Sampled;
     Report.Notes = Model.Problems;
     if (!Model.Analyzable)
       return std::move(Report);
@@ -199,12 +198,10 @@ private:
     long long Combos = 1;
     for (const EnumLoop *L : Loops)
       Combos *= static_cast<long long>(L->Values.size());
-    if (Combos > MaxCombos) {
-      Report.Sampled = true;
+    if (Combos > MaxCombos)
       Report.Notes.push_back(strFormat(
           "access %s enumerates %lld loop combinations; sampled to %lld",
           printExpr(A.Ref).c_str(), Combos, MaxCombos));
-    }
 
     // The same-value signature is usable only when every loop iterator it
     // mentions is enumerated here anyway; otherwise drop it (conservative:

@@ -56,10 +56,6 @@ struct RaceReport {
   std::vector<RaceFinding> Findings;
   /// False when the phase structure could not be modeled; Notes explains.
   bool Analyzable = true;
-  /// True when loop enumeration was capped (verdict covers the sampled
-  /// prefix; affine access patterns are periodic, so this is the same
-  /// trade Section 3.2 makes).
-  bool Sampled = false;
   /// Caveats: unanalyzable constructs, unresolved subscripts.
   std::vector<std::string> Notes;
 

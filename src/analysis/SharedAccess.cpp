@@ -192,10 +192,8 @@ private:
     collectReads(F->bound());
     collectReads(F->step());
     if (!containsBarrier(F->body())) {
-      EnumLoop L = enumerateLoopValues(F, K, SyncIters, FreeLoopValueCap);
-      if (L.Capped)
-        Model.Sampled = true;
-      FreeLoops.push_back(std::move(L));
+      FreeLoops.push_back(
+          enumerateLoopValues(F, K, SyncIters, FreeLoopValueCap));
       walkStmt(F->body());
       FreeLoops.pop_back();
       return;
@@ -221,13 +219,11 @@ private:
       walkStmt(F->body());
       return;
     }
-    if (L.Capped) {
-      Model.Sampled = true;
+    if (L.Capped)
       problem(strFormat("loop '%s' containing a barrier unrolled for its "
                         "first %d iterations only",
                         F->iterName().c_str(), SyncLoopCap),
               /*Fatal=*/false);
-    }
     for (long long V : L.Values) {
       SyncIters[F->iterName()] = V;
       walkStmt(F->body());
@@ -340,7 +336,6 @@ private:
         break;
       }
       substituteEnv(Dim, SyncIters);
-      A.DimAffine.push_back(Dim);
       Dim *= Strides[I];
       Flat += Dim;
     }
@@ -348,8 +343,6 @@ private:
       Flat *= DeclLanes;
       A.FlatFloat = Flat;
       A.Resolved = true;
-    } else {
-      A.DimAffine.clear();
     }
     Model.Accesses.push_back(std::move(A));
   }

@@ -69,9 +69,6 @@ struct SharedAccess {
   /// Consecutive float words touched per access (1 for float, 2/4 for
   /// vector elements).
   int Lanes = 1;
-  /// Per-subscript affine forms in declared-dimension units (empty for
-  /// reinterpreted vecWidth>1 views). Sync iterators substituted.
-  std::vector<AffineExpr> DimAffine;
   bool Resolved = false;
   /// Enclosing barrier-free loops (innermost last).
   std::vector<EnumLoop> Loops;
@@ -99,8 +96,6 @@ struct PhaseModel {
   /// False when the barrier structure could not be modeled (divergent
   /// barrier, unresolvable sync-loop trip count); Problems explains why.
   bool Analyzable = true;
-  /// True when some loop was truncated to the configured cap.
-  bool Sampled = false;
   std::vector<std::string> Problems;
 };
 

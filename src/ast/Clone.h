@@ -34,9 +34,10 @@ KernelFunction *cloneKernel(Module &M, const KernelFunction *K,
 
 /// Creates a kernel in \p M with \p K's name, params, launch config,
 /// bindings and work domain that points at \p K's body instead of copying
-/// it: \p M owns no node of it, so \p K's Module must outlive \p M. The
-/// interpreter writes resolution scratch into the nodes, so \p K and the
-/// new kernel must never run at the same time.
+/// it, so the body must outlive the new kernel (the design-space search
+/// creates its remap copies in their build's own Module). The interpreter
+/// writes resolution scratch into the nodes, so \p K and the new kernel
+/// must never run at the same time.
 KernelFunction *shareKernel(Module &M, const KernelFunction &K);
 
 } // namespace gpuc

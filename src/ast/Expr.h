@@ -80,7 +80,6 @@ public:
   Type type() const { return Ty; }
   void setType(Type T) { Ty = T; }
   SourceLocation loc() const { return Loc; }
-  void setLoc(SourceLocation L) { Loc = L; }
 
 protected:
   Expr(ExprKind K, Type Ty) : K(K), Ty(Ty) {}

@@ -31,7 +31,6 @@ public:
 
   StmtKind kind() const { return K; }
   SourceLocation loc() const { return Loc; }
-  void setLoc(SourceLocation L) { Loc = L; }
 
 protected:
   explicit Stmt(StmtKind K) : K(K) {}

@@ -293,11 +293,12 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
     int N = 1, Mm = 1;
     LayoutPoint Layout;
     PartitionCampResult Camp;
-    /// The slot's module (null for slot 0, whose build is the probe in
-    /// M). A build's module owns its kernel and body; a copy's owns only
-    /// its KernelFunction, which points at its build's body. ASTContext
-    /// is not thread-safe and nodes carry interpreter scratch, so a body
-    /// is only ever touched by the one task that runs its build's group.
+    /// A build's module (null for copies and for slot 0, whose build is
+    /// the probe in M). It owns the build's kernel and body, and the
+    /// KernelFunction of each of the build's copies, which points at that
+    /// body. ASTContext is not thread-safe and nodes carry interpreter
+    /// scratch, so a body is only ever touched by the one task that runs
+    /// its build's group.
     std::shared_ptr<Module> Owner;
     DiagnosticsEngine TaskDiags;
     KernelFunction *Kernel = nullptr;
@@ -405,15 +406,18 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
       C.Memo = std::make_shared<BlockMemo>();
     // A copy is a KernelFunction of its own (the build's params, bindings
     // and work domain, its own launch) over the build's body, which it
-    // only relabels. The dataflow engine and computeOccupancy ignore the
-    // remap, so a copy inherits the build's verdict and occupancy; its
-    // camping detection ran on the shared body, and a remap that is not
-    // bijective on the built grid leaves the copy at the identity.
+    // only relabels. It lives in the build's Module, or for the probe's
+    // copies in the caller's: during Phase A only this task appends to
+    // that one, and the other builds only read the naive kernel. The
+    // dataflow engine and computeOccupancy ignore the remap, so a copy
+    // inherits the build's verdict and occupancy; its camping detection
+    // ran on the shared body, and a remap that is not bijective on the
+    // built grid leaves the copy at the identity.
+    Module &Home = C.Owner ? *C.Owner : M;
     for (size_t J : C.Copies) {
       Candidate &R = Cands[J];
       WallTimer CopyTimer;
-      R.Owner = std::make_shared<Module>();
-      R.Kernel = shareKernel(*R.Owner, *C.Kernel);
+      R.Kernel = shareKernel(Home, *C.Kernel);
       R.Camp = C.Camp;
       R.Camp.AppliedDiagonal = installRemap(*R.Kernel, R.Layout) &&
                                R.Layout.K == LayoutPoint::Kind::Diagonal;
@@ -500,10 +504,9 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
     if (Opt.ExhaustiveSearch)
       return;
     WallTimer ProbeTimer;
-    BufferSet Buffers;
     DiagnosticsEngine ProbeDiags;
-    PerfResult LB = Sim.runPerformance(*C.Kernel, Buffers, ProbeDiags,
-                                       ProbeOpts, C.Memo.get(), &C.Facts);
+    PerfResult LB = Sim.runPerformance(*C.Kernel, ProbeDiags, ProbeOpts,
+                                       C.Memo.get(), &C.Facts);
     C.SimWallMs += ProbeTimer.elapsedMs();
     C.Probed = true;
     if (LB.Valid)
@@ -530,10 +533,9 @@ CompileOutput GpuCompiler::compile(const KernelFunction &Naive,
     if (compileCancelled(Opt))
       return; // cancelled: skip the run; the result is discarded below
     WallTimer SimTimer;
-    BufferSet Buffers;
     DiagnosticsEngine RunDiags;
-    C.Perf = Sim.runPerformance(*C.Kernel, Buffers, RunDiags, Opt.Perf,
-                                C.Memo.get(), &C.Facts);
+    C.Perf = Sim.runPerformance(*C.Kernel, RunDiags, Opt.Perf, C.Memo.get(),
+                                &C.Facts);
     C.SimWallMs += SimTimer.elapsedMs();
     C.Simulated = true;
     if (!C.Perf.Valid)

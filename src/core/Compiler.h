@@ -224,13 +224,11 @@ struct CompileOutput {
   PartitionCampResult Camping;
   std::string Log;
   SearchStats Search;
-  /// Modules owning the non-probe variant kernels (each search task
-  /// builds its variant in its own Module/ASTContext; keeping them here
-  /// keeps every KernelFunction* in Variants alive). A pure-remap copy's
-  /// Module owns only its KernelFunction, whose body lives in its build's
-  /// Module (or, for copies of the probe, in the compiler's Module), so
-  /// every Module here must live exactly as long as the others: keep or
-  /// drop them together.
+  /// Modules owning the non-probe builds (each search task builds its
+  /// variant in its own Module/ASTContext; keeping them here keeps every
+  /// KernelFunction* in Variants alive). A pure-remap copy's
+  /// KernelFunction lives in its build's Module, or in the compiler's for
+  /// copies of the probe.
   std::vector<std::shared_ptr<Module>> OwnedModules;
 };
 

@@ -145,11 +145,10 @@ std::string gpuc::trafficReport(const KernelFunction &K,
                                 const DeviceSpec &Device) {
   std::ostringstream OS;
   Simulator Sim(Device);
-  BufferSet B;
   DiagnosticsEngine D;
   PerfOptions PO;
   PO.TrackSites = true;
-  PerfResult R = Sim.runPerformance(K, B, D, PO);
+  PerfResult R = Sim.runPerformance(K, D, PO);
   if (!R.Valid)
     return "== traffic ==\n  (performance run failed)\n";
   OS << strFormat("== traffic by access (%s on %s) ==\n", K.name().c_str(),

@@ -38,11 +38,12 @@ namespace gpuc {
 
 /// Per-block SimStats table for the performance runs of one kernel body
 /// (one build and its remap copies, for one search). The runs must share
-/// the device and run over empty BufferSets, so every array reads as zero
-/// and every scalar has its compile-time binding; the Simulator ignores
-/// the memo for any other run. The table is not synchronized: the search
-/// runs every slot that shares a memo in one task (core/Compiler.cpp), so
-/// one lane at a time touches it, in the order a one-lane search does.
+/// the device. Every performance run reads its arrays as zero and its
+/// scalars at their compile-time bindings, so the runs differ only in the
+/// remap and the loop-sampling settings. Site-tracking runs ignore the
+/// memo. The table is not synchronized: the search runs every slot that
+/// shares a memo in one task (core/Compiler.cpp), so one lane at a time
+/// touches it, in the order a one-lane search does.
 class BlockMemo {
 public:
   /// True when a block's statistics in such a run depend on nothing but

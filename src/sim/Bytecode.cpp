@@ -49,10 +49,9 @@ private:
   // Per-range statistics accumulation (scalar-interpreter weights).
   double CurDyn = 0, CurFlops = 0;
 
-  // Hazard tracking (DESIGN.md section 14).
-  bool CurSharedLoad = false;       ///< range contained a shared load
-  const void *CurStoreTarget = nullptr; ///< array being stored, if any
-  bool CurStoreTargetLoaded = false;
+  // The array a store is flattening its index into, if any: a load of it
+  // there refuses the lowering (DESIGN.md section 14).
+  const void *CurStoreTarget = nullptr;
 
   //===--------------------------------------------------------------------===//
   // Plane allocation
@@ -512,10 +511,8 @@ private:
       return V;
     AC.IsStore = false;
     AC.Flat = Flat;
-    if (AC.Shared)
-      CurSharedLoad = true;
     if (CurStoreTarget && arrayKey(AC.Shared, AC.ArrayIdx) == CurStoreTarget)
-      CurStoreTargetLoaded = true;
+      Ok = false;
     CurDyn += 2; // address computation + issue
     for (int L = 0; L < AC.AccessLanes; ++L) {
       AC.Lane[L] = newF();
@@ -533,16 +530,13 @@ private:
       return;
     // Phase-2 index re-evaluation: a load of the array being stored inside
     // its own index expressions would interleave reads and writes per
-    // thread in the scalar engine but range-at-a-time here. Those kernels
-    // run scalar (BcProgram::HazardStoreIdx).
+    // thread in the scalar engine but range-at-a-time here, so such a
+    // kernel does not lower and runs on the scalar walk.
     CurStoreTarget = arrayKey(AC.Shared, AC.ArrayIdx);
-    CurStoreTargetLoaded = false;
     int32_t Flat = emitFlatten(A);
     CurStoreTarget = nullptr;
     if (!Ok)
       return;
-    if (CurStoreTargetLoaded)
-      P.HazardStoreIdx = true;
     AC.IsStore = true;
     AC.Flat = Flat;
     for (int L = 0; L < AC.AccessLanes; ++L)
@@ -645,32 +639,20 @@ private:
         Ok = false;
         return -1;
       }
-      bool Shared0 = CurSharedLoad;
-      CurSharedLoad = false;
       RangeMark M = beginRange();
       BcValue VI = emitExpr(F->init());
       B.InitRef = asIntRef(VI, F->init()->type());
       B.InitR = endRange(M);
-      bool InitShared = CurSharedLoad;
 
-      CurSharedLoad = false;
       M = beginRange();
       BcValue VB = emitExpr(F->bound());
       B.BoundRef = asIntRef(VB, F->bound()->type());
       B.BoundR = endRange(M);
 
-      CurSharedLoad = false;
       M = beginRange();
       BcValue VS = emitExpr(F->step());
       B.StepRef = asIntRef(VS, F->step()->type());
       B.StepR = endRange(M);
-      bool StepShared = CurSharedLoad;
-      CurSharedLoad = Shared0;
-
-      // Sampled fast-forward interleaves init and step evaluation per
-      // thread; shared loads there would be race-order-visible.
-      if (InitShared || StepShared)
-        P.HazardLoopEval = true;
 
       int32_t Self = addStmt(std::move(B));
       int32_t Body = compileStmt(F->body());

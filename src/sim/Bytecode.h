@@ -196,20 +196,16 @@ struct BcProgram {
   int NumFTemps = 0, NumITemps = 0, NumLTemps = 0;
   std::vector<float> FConsts;
   std::vector<int> IConsts;
-
-  /// Race-order hazards that force the scalar interpreter (see DESIGN.md
-  /// section 14): a shared store whose index expressions load shared
-  /// memory (commit-range re-evaluation reorders those reads across
-  /// threads), and shared loads in for-loop init/bound/step (the sampled
-  /// fast-forward interleaves init and step reads per thread).
-  bool HazardStoreIdx = false;
-  bool HazardLoopEval = false;
 };
 
 /// Lowers the (prepared) interpreter's kernel AST. \returns nullptr when
-/// the kernel uses a construct the vector engine does not model — the
-/// caller silently falls back to the scalar path, which reproduces the
-/// scalar diagnostics for genuinely malformed kernels.
+/// the kernel uses a construct the vector engine does not model, or has a
+/// store whose index expressions load the array it stores (the commit
+/// range re-evaluates the index for all lanes before any lane stores,
+/// where the scalar walk interleaves each thread's read and store; see
+/// DESIGN.md section 14). The caller silently falls back to the scalar
+/// path, which also reproduces the scalar diagnostics for genuinely
+/// malformed kernels.
 std::unique_ptr<BcProgram> compileBytecode(const Interpreter &Interp);
 
 } // namespace gpuc

@@ -213,16 +213,7 @@ bool Interpreter::vectorEligible(const InterpOptions &O) {
     BCTried = true;
     BC = compileBytecode(*this);
   }
-  if (!BC || BC->HazardStoreIdx)
-    return false;
-  // Sampled fast-forward interleaves init/step shared reads per thread;
-  // the plane executor runs them range-major, so the race-check order
-  // would differ. Only observable when both sampling and the sanitizer
-  // are active.
-  if (BC->HazardLoopEval && O.Races && O.CollectStats &&
-      O.LoopSampleThreshold > 0)
-    return false;
-  return true;
+  return BC != nullptr;
 }
 
 std::vector<uint8_t> &Interpreter::acquireMask() {
@@ -253,6 +244,8 @@ void Interpreter::bindBlock(long long BlockId, long long ThreadBase) {
 void Interpreter::runBlocks(long long Begin, long long End,
                             const InterpOptions &Options) {
   assert(Prepared && "call prepare() first");
+  assert(!(Options.Races && Options.LoopSampleThreshold > 0) &&
+         "race-logged runs never sample");
   Opt = &Options;
   BlocksInGroup = 1;
   const bool Vec = vectorEligible(Options);
@@ -282,6 +275,8 @@ void Interpreter::runBlocks(long long Begin, long long End,
 
 void Interpreter::runGrid(const InterpOptions &Options) {
   assert(Prepared && "call prepare() first");
+  assert(!(Options.Races && Options.LoopSampleThreshold > 0) &&
+         "race-logged runs never sample");
   Opt = &Options;
   const LaunchConfig &L = K.launch();
   long long Blocks = L.numBlocks();

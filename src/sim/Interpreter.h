@@ -23,8 +23,8 @@
 ///    (Bytecode.h) and stepped over SoA lane planes (VectorExec.h), one
 ///    host loop per op instead of one AST walk per thread;
 ///  * scalar — the original per-thread recursive walk, kept as the
-///    differential oracle and as the fallback for the few constructs whose
-///    access interleaving the plane executor cannot reproduce exactly.
+///    differential oracle and as the fallback for kernels that do not
+///    lower to bytecode.
 /// Both engines produce bit-identical outputs, SimStats, memory-model
 /// folds and race logs on every non-failing run.
 ///
@@ -32,7 +32,9 @@
 /// their first few iterations and the statistics delta is extrapolated
 /// (addresses in the paper's kernels are data-independent, so the access
 /// pattern of the remaining iterations is exactly periodic — the same
-/// observation Section 3.2 makes about checking only 16 iterations).
+/// observation Section 3.2 makes about checking only 16 iterations). A
+/// race-logged run never samples: only functional runs log races, and they
+/// run every iteration.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -95,6 +97,7 @@ struct InterpOptions {
   SimStats *Stats = nullptr;
   MemoryModel *MM = nullptr;
   /// When > 0, uniform loops with more iterations than this are sampled.
+  /// Must be 0 when Races is set.
   int LoopSampleThreshold = 0;
   /// Number of iterations actually executed for a sampled loop.
   int LoopSampleCount = 4;
@@ -142,11 +145,14 @@ public:
 
   bool ok() const { return !Failed; }
 
+  /// True when the kernel contains __globalSync, so a functional run needs
+  /// runGrid. Known after prepare().
+  bool hasGlobalSync() const { return HasGlobalSync; }
+
   /// True once a run requested the vector engine but executed on the
-  /// scalar walk (bytecode lowering failed or a race-order hazard applied
-  /// — see vectorEligible). Purely observational: the outputs are
-  /// bit-identical either way, so this feeds SearchStats::ScalarFallbacks,
-  /// never SimStats or the caches.
+  /// scalar walk because the kernel did not lower to bytecode. Purely
+  /// observational: the outputs are bit-identical either way, so this
+  /// feeds SearchStats::ScalarFallbacks, never SimStats or the caches.
   bool usedScalarFallback() const { return ScalarFallback; }
 
 private:
@@ -182,8 +188,8 @@ private:
   void setupGroup(long long NumThreads, bool ScalarFrame);
   void bindBlock(long long BlockId, long long ThreadBase);
   /// True when this run can use the plane executor: vector backend
-  /// requested, the kernel lowered to bytecode, and no race-order hazard
-  /// applies under these options. Compiles the bytecode on first use.
+  /// requested and the kernel lowered to bytecode. Compiles the bytecode
+  /// on first use.
   bool vectorEligible(const InterpOptions &O);
   void execStmt(Stmt *S, const std::vector<uint8_t> &Mask);
   void execAssign(AssignStmt *A, const std::vector<uint8_t> &Mask);

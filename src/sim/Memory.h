@@ -37,8 +37,6 @@ public:
   }
 
   bool has(const std::string &Name) const { return Buffers.count(Name) > 0; }
-  /// True when no array and no scalar is bound.
-  bool empty() const { return Buffers.empty() && Scalars.empty(); }
 
   std::vector<float> &data(const std::string &Name) {
     auto It = Buffers.find(Name);
@@ -59,10 +57,6 @@ public:
     auto It = Scalars.find(Name);
     assert(It != Scalars.end() && "unbound scalar");
     return It->second;
-  }
-
-  const std::map<std::string, std::vector<float>> &buffers() const {
-    return Buffers;
   }
 
 private:

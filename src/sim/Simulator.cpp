@@ -17,16 +17,6 @@ using namespace gpuc;
 /// co-resident conflicts.
 static constexpr long long MinBlocksPerCluster = 2;
 
-static bool kernelHasGlobalSync(const KernelFunction &K) {
-  bool Found = false;
-  forEachStmt(K.body(), [&](Stmt *S) {
-    if (auto *Sync = dyn_cast<SyncStmt>(S))
-      if (Sync->isGlobal())
-        Found = true;
-  });
-  return Found;
-}
-
 bool Simulator::runFunctional(const KernelFunction &K, BufferSet &Buffers,
                               DiagnosticsEngine &Diags,
                               RaceLog *Races) const {
@@ -36,7 +26,7 @@ bool Simulator::runFunctional(const KernelFunction &K, BufferSet &Buffers,
   InterpOptions Opt; // no statistics, full execution
   Opt.Races = Races;
   Opt.Backend = Backend;
-  if (kernelHasGlobalSync(K))
+  if (Interp.hasGlobalSync())
     Interp.runGrid(Opt);
   else
     Interp.runBlocks(0, K.launch().numBlocks(), Opt);
@@ -58,7 +48,6 @@ bool Simulator::runPipelineFunctional(
 }
 
 PerfResult Simulator::runPerformance(const KernelFunction &K,
-                                     BufferSet &Buffers,
                                      DiagnosticsEngine &Diags,
                                      const PerfOptions &Options,
                                      BlockMemo *Memo,
@@ -80,11 +69,14 @@ PerfResult Simulator::runPerformance(const KernelFunction &K,
     return R;
   }
 
-  // A memoized block carries no per-site traffic, and it ran on zero
-  // arrays and compile-time scalars.
-  if (Options.TrackSites || !Buffers.empty())
+  // A memoized block carries no per-site traffic.
+  if (Options.TrackSites)
     Memo = nullptr;
-  Interpreter Interp(Dev, K, Buffers, Diags);
+  // Nothing is bound: every array reads lazy zero pages and every scalar
+  // its compile-time binding, so the result depends on nothing the cache
+  // key leaves out.
+  BufferSet Unbound;
+  Interpreter Interp(Dev, K, Unbound, Diags);
   if (!Interp.prepare(UnboundArrays::LazyZeroPages))
     return R;
 

@@ -83,9 +83,8 @@ TEST(SdkTranspose, PrevHasBankConflictsNewDoesNot) {
   KernelFunction *New = sdkTransposeNew(M, N);
   Simulator Sim(DeviceSpec::gtx280());
   DiagnosticsEngine D;
-  BufferSet B1, B2;
-  PerfResult RPrev = Sim.runPerformance(*Prev, B1, D);
-  PerfResult RNew = Sim.runPerformance(*New, B2, D);
+  PerfResult RPrev = Sim.runPerformance(*Prev, D);
+  PerfResult RNew = Sim.runPerformance(*New, D);
   ASSERT_TRUE(RPrev.Valid && RNew.Valid) << D.str();
   EXPECT_GT(RPrev.Stats.SharedBankExtraCycles, 0);
   EXPECT_EQ(RNew.Stats.SharedBankExtraCycles, 0);
@@ -98,9 +97,8 @@ TEST(SdkTranspose, DiagonalRemovesCampingAt4k) {
   KernelFunction *New = sdkTransposeNew(M, N);
   Simulator Sim(DeviceSpec::gtx280());
   DiagnosticsEngine D;
-  BufferSet B1, B2;
-  PerfResult RPrev = Sim.runPerformance(*Prev, B1, D);
-  PerfResult RNew = Sim.runPerformance(*New, B2, D);
+  PerfResult RPrev = Sim.runPerformance(*Prev, D);
+  PerfResult RNew = Sim.runPerformance(*New, D);
   ASSERT_TRUE(RPrev.Valid && RNew.Valid) << D.str();
   EXPECT_GT(RPrev.Timing.CampingFactor, RNew.Timing.CampingFactor);
   EXPECT_LT(RNew.TimeMs, RPrev.TimeMs);

@@ -2,7 +2,7 @@
 //
 // Performance runs add each sampled block's statistics from a per-build
 // memo when an earlier run of the same body already simulated that logical
-// block (sim/BlockMemo.h), and bind unbound arrays to lazily zeroed pages.
+// block (sim/BlockMemo.h), and bind every array to lazily zeroed pages.
 // Neither may change a single bit of any PerfResult: every test here
 // compares against runs on a fresh Simulator with no memo and no cache.
 //
@@ -63,17 +63,15 @@ SearchStats expectMemoTransparent(Module &M, const KernelFunction &Naive,
                                         V.Layout, V.BlockMergeN,
                                         V.ThreadMergeM);
     if (V.LowerBoundMs > 0) {
-      BufferSet B;
       DiagnosticsEngine RD;
-      PerfResult Probe = Fresh.runPerformance(
-          *V.Kernel, B, RD, PerfOptions::lowerBoundProbe());
+      PerfResult Probe =
+          Fresh.runPerformance(*V.Kernel, RD, PerfOptions::lowerBoundProbe());
       EXPECT_EQ(V.LowerBoundMs, Probe.TimeMs * 0.75) << Where;
     }
     if (V.Pruned)
       continue;
-    BufferSet B;
     DiagnosticsEngine RD;
-    PerfResult Want = Fresh.runPerformance(*V.Kernel, B, RD, Opt.Perf);
+    PerfResult Want = Fresh.runPerformance(*V.Kernel, RD, Opt.Perf);
     EXPECT_EQ(encoded(V.Perf), encoded(Want))
         << Where << ": " << V.Perf.TimeMs << " ms vs " << Want.TimeMs;
     ++Compared;
@@ -263,35 +261,37 @@ TEST(BlockMemoFallback, ValueDependentBranchOnWrittenArrayRunsWhole) {
 }
 
 //===----------------------------------------------------------------------===//
-// Binding: unbound arrays never land in the caller's BufferSet; bound ones
-// are used in place.
+// Binding: a performance run reads every array as zero pages, and running
+// its blocks one at a time adds up to one pass over the grid.
 //===----------------------------------------------------------------------===//
 
-const char *const GuardedCopy = "#pragma gpuc output(b)\n"
-                                "__global__ void k(float a[64][64], "
-                                "float b[64][64]) {\n"
-                                "  if (a[idy][idx] > 0.5) {\n"
-                                "    b[idy][idx] = a[idy][idx] * 2;\n"
-                                "  }\n"
-                                "}\n";
-
-TEST(PerfBinding, EmptyBufferSetStaysEmpty) {
+TEST(PerfBinding, ArraysReadAsZero) {
   Module M;
-  KernelFunction *K = parseOne(M, GuardedCopy);
+  KernelFunction *K = parseOne(M, "#pragma gpuc output(b)\n"
+                                  "__global__ void k(float a[64][64], "
+                                  "float b[64][64]) {\n"
+                                  "  if (a[idy][idx] > 0.5) {\n"
+                                  "    b[idy][idx] = a[idy][idx] * 2;\n"
+                                  "  }\n"
+                                  "}\n");
   ASSERT_NE(K, nullptr);
   Simulator Sim(DeviceSpec::gtx280());
-  BufferSet B;
   DiagnosticsEngine D;
-  PerfResult R = Sim.runPerformance(*K, B, D);
+  PerfResult R = Sim.runPerformance(*K, D);
   ASSERT_TRUE(R.Valid) << D.str();
-  EXPECT_TRUE(B.empty());
   // Zero inputs: the guard never holds, so nothing is stored.
   EXPECT_EQ(R.Stats.GlobalStoreHalfWarps, 0);
 }
 
-TEST(PerfBinding, BoundInputsAreReadInPlace) {
+TEST(PerfBinding, BlockAtATimeMatchesOneGridPass) {
+  // Every access is taken whatever the data, so the statistics do not
+  // depend on what the arrays hold.
   Module M;
-  KernelFunction *K = parseOne(M, GuardedCopy);
+  KernelFunction *K = parseOne(M, "#pragma gpuc output(b)\n"
+                                  "__global__ void k(float a[64][64], "
+                                  "float b[64][64]) {\n"
+                                  "  b[idy][idx] = a[idy][idx] * 2;\n"
+                                  "}\n");
   ASSERT_NE(K, nullptr);
   const DeviceSpec Dev = DeviceSpec::gtx280();
   const long long NumBlocks = K->launch().numBlocks();
@@ -302,25 +302,14 @@ TEST(PerfBinding, BoundInputsAreReadInPlace) {
   Whole.BlocksPerCluster = static_cast<int>(NumBlocks);
   Whole.WorkPerBlockRef = 0;
 
-  BufferSet B;
-  B.alloc("a", 64 * 64);
-  for (float &X : B.data("a"))
-    X = 1.0f;
-  B.alloc("b", 64 * 64);
   Simulator Sim(Dev);
   DiagnosticsEngine D;
-  PerfResult R = Sim.runPerformance(*K, B, D, Whole);
+  PerfResult R = Sim.runPerformance(*K, D, Whole);
   ASSERT_TRUE(R.Valid) << D.str();
-  // The run stored through the caller's own buffer.
-  for (float X : B.data("b"))
-    ASSERT_EQ(X, 2.0f);
 
   // The same grid through the interpreter in one pass, as a performance
   // run executed it before blocks ran one at a time.
   BufferSet Ref;
-  Ref.alloc("a", 64 * 64);
-  for (float &X : Ref.data("a"))
-    X = 1.0f;
   Interpreter Interp(Dev, *K, Ref, D);
   ASSERT_TRUE(Interp.prepare());
   SimStats Stats;

@@ -210,9 +210,8 @@ TEST(SimCacheTest, HitsOnFigure12StagePrefixes) {
   uint64_t HitsBefore = Cache.hits();
   Simulator Sim(DeviceSpec::gtx280());
   Sim.setCache(&Cache);
-  BufferSet B;
   DiagnosticsEngine RunDiags;
-  PerfResult R = Sim.runPerformance(*Stage, B, RunDiags);
+  PerfResult R = Sim.runPerformance(*Stage, RunDiags);
   EXPECT_TRUE(R.Valid);
   EXPECT_GT(Cache.hits(), HitsBefore)
       << "stage-prefix recompilation missed the cache";

@@ -242,9 +242,8 @@ TEST(AmdVectorize, Float4FastestOnHd5870) {
   CompileOutput Out = GC.compile(*Naive, Amd);
   ASSERT_NE(Out.Best, nullptr);
   Simulator Sim(DeviceSpec::hd5870());
-  BufferSet B1, B2;
-  PerfResult RVec = Sim.runPerformance(*Out.Best, B1, D);
-  PerfResult RScalar = Sim.runPerformance(*Naive, B2, D);
+  PerfResult RVec = Sim.runPerformance(*Out.Best, D);
+  PerfResult RScalar = Sim.runPerformance(*Naive, D);
   ASSERT_TRUE(RVec.Valid && RScalar.Valid);
   EXPECT_LT(RVec.TimeMs, RScalar.TimeMs);
 }
@@ -292,10 +291,9 @@ TEST(SiteTraffic, AttributesTrafficToAccesses) {
   // G80: the uncoalesced a[idy][i] broadcast costs 16 transactions per
   // half warp, dominating the traffic.
   Simulator Sim(DeviceSpec::gtx8800());
-  BufferSet B;
   PerfOptions PO;
   PO.TrackSites = true;
-  PerfResult R = Sim.runPerformance(*Naive, B, D, PO);
+  PerfResult R = Sim.runPerformance(*Naive, D, PO);
   ASSERT_TRUE(R.Valid);
   ASSERT_EQ(R.Sites.size(), 3u); // a load, b load, c store
   EXPECT_NE(R.Sites[0].first.find("a[idy]"), std::string::npos)
@@ -314,8 +312,7 @@ TEST(SiteTraffic, OffByDefault) {
   DiagnosticsEngine D;
   KernelFunction *Naive = parseNaive(M, Algo::VV, 1024, D);
   Simulator Sim(DeviceSpec::gtx280());
-  BufferSet B;
-  PerfResult R = Sim.runPerformance(*Naive, B, D);
+  PerfResult R = Sim.runPerformance(*Naive, D);
   ASSERT_TRUE(R.Valid);
   EXPECT_TRUE(R.Sites.empty());
 }

@@ -120,9 +120,8 @@ Snapshot runPaperHeuristic(Algo A, long long N, const DeviceSpec &Dev) {
     }
     if (!K || computeOccupancy(Dev, *K).Infeasible)
       continue;
-    BufferSet Buffers;
     DiagnosticsEngine RunDiags;
-    PerfResult R = Sim.runPerformance(*K, Buffers, RunDiags, Opt.Perf);
+    PerfResult R = Sim.runPerformance(*K, RunDiags, Opt.Perf);
     if (R.Valid && (!Best.Ok || R.TimeMs < Best.BestMs)) {
       Best.Ok = true;
       Best.BestN = BN;

@@ -282,11 +282,10 @@ std::string searchResultText(const SearchPin &P, const CompileOutput &Out,
   }
   if (Out.Best) {
     Simulator Sim(Dev);
-    BufferSet B;
     DiagnosticsEngine D;
     PerfOptions Sites;
     Sites.TrackSites = true;
-    const PerfResult R = Sim.runPerformance(*Out.Best, B, D, Sites);
+    const PerfResult R = Sim.runPerformance(*Out.Best, D, Sites);
     T += strFormat("winner %s sites valid=%d ms=%.9g\n",
                    algoInfo(P.A).Name, R.Valid, R.TimeMs);
     // Sorted: two sites that print alike and move equal bytes keep no

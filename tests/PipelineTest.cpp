@@ -163,9 +163,8 @@ TEST(PerfShape, OptimizedBeatsNaiveOnMemoryBoundKernels) {
     CompileOutput Out = GC.compile(*Naive);
     ASSERT_NE(Out.Best, nullptr);
     Simulator Sim(DeviceSpec::gtx280());
-    BufferSet B1, B2;
-    PerfResult RN = Sim.runPerformance(*Naive, B1, D);
-    PerfResult RO = Sim.runPerformance(*Out.Best, B2, D);
+    PerfResult RN = Sim.runPerformance(*Naive, D);
+    PerfResult RO = Sim.runPerformance(*Out.Best, D);
     ASSERT_TRUE(RN.Valid && RO.Valid) << D.str();
     EXPECT_GT(RN.TimeMs / RO.TimeMs, 2.0) << algoInfo(A).Name;
   }
@@ -201,9 +200,8 @@ TEST(PerfShape, CoalescingReducesTrafficOnMm) {
   Coal.Device = DeviceSpec::gtx8800();
   KernelFunction *V = GC.compileVariant(*Naive, Coal, 1, 1);
   Simulator Sim(DeviceSpec::gtx8800());
-  BufferSet B1, B2;
-  PerfResult RN = Sim.runPerformance(*Naive, B1, D);
-  PerfResult RC = Sim.runPerformance(*V, B2, D);
+  PerfResult RN = Sim.runPerformance(*Naive, D);
+  PerfResult RC = Sim.runPerformance(*V, D);
   ASSERT_TRUE(RN.Valid && RC.Valid);
   EXPECT_GT(RN.Stats.bytesMovedTotal(), 3.0 * RC.Stats.bytesMovedTotal());
 }

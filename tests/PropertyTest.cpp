@@ -13,16 +13,68 @@
 #include "ast/Printer.h"
 #include "baselines/CpuReference.h"
 #include "core/ConstantFold.h"
-#include "fuzz/ExprGen.h"
 #include "parser/Parser.h"
 #include "sim/Simulator.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <random>
+#include <utility>
 
 using namespace gpuc;
+
+namespace {
+
+/// Deterministic random float expression over {idx, literals, + - * and
+/// fmaxf}, together with a host-side evaluator, so the interpreter can be
+/// checked against an independent computation.
+struct ExprGen {
+  std::mt19937 Rng;
+  KernelBuilder &B;
+
+  ExprGen(unsigned Seed, KernelBuilder &B) : Rng(Seed), B(B) {}
+
+  int irand(int Lo, int Hi) {
+    return std::uniform_int_distribution<int>(Lo, Hi)(Rng);
+  }
+
+  /// Builds a float expression and a matching evaluator of idx.
+  std::pair<Expr *, std::function<float(int)>> gen(int Depth) {
+    if (Depth == 0) {
+      switch (irand(0, 2)) {
+      case 0: {
+        float V = static_cast<float>(irand(-8, 8)) * 0.25f;
+        return {B.f(V), [V](int) { return V; }};
+      }
+      case 1:
+        return {B.ctx().bin(BinOp::Add, B.idx(), B.i(0)),
+                [](int I) { return static_cast<float>(I); }};
+      default: {
+        int C = irand(1, 9);
+        return {B.i(C), [C](int) { return static_cast<float>(C); }};
+      }
+      }
+    }
+    auto [L, FL] = gen(Depth - 1);
+    auto [R, FR] = gen(Depth - 1);
+    switch (irand(0, 3)) {
+    case 0:
+      return {B.add(L, R), [FL, FR](int I) { return FL(I) + FR(I); }};
+    case 1:
+      return {B.sub(L, R), [FL, FR](int I) { return FL(I) - FR(I); }};
+    case 2:
+      return {B.mul(L, R), [FL, FR](int I) { return FL(I) * FR(I); }};
+    default:
+      return {B.ctx().call("fmaxf", {L, R}, Type::floatTy()),
+              [FL, FR](int I) { return std::max(FL(I), FR(I)); }};
+    }
+  }
+};
+
+} // namespace
 
 class InterpreterArithmetic : public ::testing::TestWithParam<unsigned> {};
 
@@ -131,14 +183,13 @@ TEST_P(SamplingAccuracy, ExtrapolationTracksFullRun) {
   KernelFunction *K = parseNaive(M, A, N, D);
   ASSERT_NE(K, nullptr) << D.str();
   Simulator Sim(DeviceSpec::gtx280());
-  BufferSet B1, B2;
   PerfOptions Sampled;
   PerfOptions Full;
   Full.LoopSampleThreshold = 1 << 30;
   Full.BlocksPerCluster = 1 << 24; // every block
   Full.SampleClusters = 1;
-  PerfResult RS = Sim.runPerformance(*K, B1, D, Sampled);
-  PerfResult RF = Sim.runPerformance(*K, B2, D, Full);
+  PerfResult RS = Sim.runPerformance(*K, D, Sampled);
+  PerfResult RF = Sim.runPerformance(*K, D, Full);
   ASSERT_TRUE(RS.Valid && RF.Valid) << D.str();
   // Byte totals within 15% for uniform-work kernels. The reductions have
   // strongly non-uniform per-block work (early blocks stay active through

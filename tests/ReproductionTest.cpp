@@ -35,15 +35,14 @@ DeviceSpec device(bool Gtx280) {
   return Gtx280 ? DeviceSpec::gtx280() : DeviceSpec::gtx8800();
 }
 
-/// Simulated time of \p K on \p Device (buffers auto-allocated). With
-/// \p Cache, structurally identical repeat measurements are memoized.
+/// Simulated time of \p K on \p Device. With \p Cache, structurally
+/// identical repeat measurements are memoized.
 PerfResult measure(const DeviceSpec &Device, const KernelFunction &K,
                    SimCache *Cache = nullptr) {
   Simulator Sim(Device);
   Sim.setCache(Cache);
-  BufferSet B;
   DiagnosticsEngine D;
-  return Sim.runPerformance(K, B, D);
+  return Sim.runPerformance(K, D);
 }
 
 /// Parses and measures the naive kernel of \p A at size \p N.

@@ -646,12 +646,11 @@ TEST(PerfMode, LoopSamplingMatchesFullExecution) {
   KernelFunction *K = buildStreamKernel(M, 128, 512);
   Simulator Sim(DeviceSpec::gtx280());
   DiagnosticsEngine D;
-  BufferSet B1, B2;
   PerfOptions Sampled; // default: sampling on
   PerfOptions Full;
   Full.LoopSampleThreshold = 1 << 30; // never sample
-  PerfResult RS = Sim.runPerformance(*K, B1, D, Sampled);
-  PerfResult RF = Sim.runPerformance(*K, B2, D, Full);
+  PerfResult RS = Sim.runPerformance(*K, D, Sampled);
+  PerfResult RF = Sim.runPerformance(*K, D, Full);
   ASSERT_TRUE(RS.Valid && RF.Valid) << D.str();
   EXPECT_NEAR(RS.Stats.bytesMovedTotal() / RF.Stats.bytesMovedTotal(), 1.0,
               0.05);
@@ -677,9 +676,8 @@ TEST(PerfMode, UncoalescedKernelMovesMoreBytes) {
 
   Simulator Sim(DeviceSpec::gtx280());
   DiagnosticsEngine D;
-  BufferSet B1, B2;
-  PerfResult RBad = Sim.runPerformance(*Bad, B1, D);
-  PerfResult RGood = Sim.runPerformance(*Good, B2, D);
+  PerfResult RBad = Sim.runPerformance(*Bad, D);
+  PerfResult RGood = Sim.runPerformance(*Good, D);
   ASSERT_TRUE(RBad.Valid && RGood.Valid) << D.str();
   // 8x waste: 32-byte transactions for 4 useful bytes.
   EXPECT_GT(RBad.Stats.bytesMovedTotal(),
@@ -702,11 +700,10 @@ TEST(PerfMode, EqualTrafficSitesAreOrderedByLabel) {
   KernelFunction *K = B.finish(64, 1, 256, 1);
 
   Simulator Sim(DeviceSpec::gtx280());
-  BufferSet Buf;
   DiagnosticsEngine D;
   PerfOptions PO;
   PO.TrackSites = true;
-  PerfResult R = Sim.runPerformance(*K, Buf, D, PO);
+  PerfResult R = Sim.runPerformance(*K, D, PO);
   ASSERT_TRUE(R.Valid) << D.str();
   std::vector<std::string> Labels;
   for (const auto &[Label, T] : R.Sites) {
