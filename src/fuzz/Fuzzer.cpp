@@ -220,6 +220,7 @@ FuzzSummary gpuc::runFuzz(const FuzzOptions &Opt, std::ostream *Progress) {
       return;
     }
     C.VariantsChecked = R.VariantsChecked;
+    C.VariantsRun = R.VariantsRun;
     if (R.Passed) {
       C.St = FuzzCase::Status::Passed;
       if (Progress) {
@@ -264,6 +265,7 @@ FuzzSummary gpuc::runFuzz(const FuzzOptions &Opt, std::ostream *Progress) {
     if (C.St != FuzzCase::Status::Duplicate)
       ++Sum.ShapeCounts[C.Shape];
     Sum.VariantsChecked += C.VariantsChecked;
+    Sum.VariantsRun += C.VariantsRun;
     if (C.St == FuzzCase::Status::Failed)
       Sum.Failures.push_back(std::move(C));
   }

@@ -71,6 +71,7 @@ struct FuzzCase {
   /// Generator template that produced the kernel ("map1d", "mmlike", ...).
   std::string Shape;
   int VariantsChecked = 0;
+  int VariantsRun = 0;
   /// The generated naive source (kept only for failing cases).
   std::string Source;
   /// First oracle failure (the minimization target).
@@ -86,6 +87,8 @@ struct FuzzSummary {
   int Duplicates = 0;
   int Failed = 0;
   long long VariantsChecked = 0;
+  /// Checks that executed their kernel or chain (OracleResult::VariantsRun).
+  long long VariantsRun = 0;
   /// Shape -> number of non-duplicate cases exercising it.
   std::map<std::string, int> ShapeCounts;
   /// Failing cases, ascending by seed.
